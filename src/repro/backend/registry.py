@@ -7,10 +7,12 @@ and resolves it here.  The handle carries
 
 * ``name``   -- the registry key (``"numpy"``, ``"array_api_strict"``);
 * ``xp``     -- the array-API namespace module to compute with;
-* ``native`` -- True when ``xp`` *is* NumPy, i.e. the kernel may take its
-  pre-refactor fast path (fancy indexing, einsum, in-place views) with
-  **bit-identical** results, because the namespace refactor is then a
-  pure re-spelling of the same floating-point program.
+* ``native`` -- True when ``xp`` *is* NumPy.  Most operations have one
+  body, written on the array-API subset, that runs in every namespace
+  NumPy included, and never consult this flag.  Only the kernels that
+  are themselves the subject of the paper's variants (the kinetic
+  Algorithms 1-5, the nonlocal GEMM shapes) and the in-place phase/CAP
+  multiplies of the QD step keep a NumPy path, selected by this flag.
 
 Handles pickle **by name** (``__reduce__`` returns ``get_backend(name)``)
 so they survive the process-spawn executor boundary: a worker unpickles
@@ -54,10 +56,6 @@ class ArrayBackend:
     # ---- boundary converters ------------------------------------- #
     def asarray(self, obj: Any, dtype: Any = None) -> Any:
         """Import host data into this backend's namespace (the boundary)."""
-        if self.native:
-            return np.asarray(obj, dtype=dtype)
-        if dtype is None:
-            return self.xp.asarray(obj)
         return self.xp.asarray(obj, dtype=dtype)
 
     def to_numpy(self, arr: Any) -> np.ndarray:

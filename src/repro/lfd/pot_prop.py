@@ -26,11 +26,8 @@ def potential_phase(  # dclint: disable=DCL006 -- timed by potential_phase_step
 ) -> np.ndarray:
     """The diagonal phase field exp(-i dt v_loc / hbar)."""
     b = get_backend(backend)
-    if b.native:
-        return np.exp(-1j * (dt / HBAR) * np.asarray(vloc, dtype=float))
-    xp = b.xp
-    v = xp.asarray(np.asarray(vloc, dtype=float))
-    return to_numpy(xp.exp((-1j * (dt / HBAR)) * v))
+    v = b.asarray(np.asarray(vloc, dtype=float))
+    return to_numpy(b.xp.exp((-1j * (dt / HBAR)) * v))
 
 
 def potential_phase_step(

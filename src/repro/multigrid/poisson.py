@@ -9,6 +9,11 @@ coarsening; the coarsest level is solved exactly in Fourier space (it is
 a handful of points).  Periodic boundary conditions leave the constant
 mode undetermined, so the right-hand side is projected to zero mean and
 the returned potential is mean-free.
+
+The solve loop, the V-cycle and the coarsest-level FFT solve have one
+body each, written on the array-API subset and run in the backend's
+namespace ``xp`` (NumPy is one such namespace); host arrays cross the
+boundary once per solve in each direction.
 """
 
 from __future__ import annotations
@@ -22,27 +27,22 @@ from repro.backend import ArrayBackend, get_backend, to_numpy
 from repro.grids.grid import Grid3D
 from repro.obs import trace_span
 from repro.multigrid.smoothers import (
-    red_black_gauss_seidel,
     red_black_gauss_seidel_xp,
-    residual,
     residual_xp,
-    weighted_jacobi,
     weighted_jacobi_xp,
 )
 from repro.multigrid.transfer import (
-    prolong_trilinear,
     prolong_trilinear_xp,
-    restrict_full_weighting,
     restrict_full_weighting_xp,
 )
 
 
 def solve_poisson_fft_xp(xp: Any, rho: Any, grid: Grid3D) -> Any:
-    """FFT Poisson solve in an arbitrary array-API namespace ``xp``.
+    """FFT Poisson solve in namespace ``xp``.
 
-    Same discrete-Laplacian spectral division as the native path, spelled
-    on the array-API subset (``fft`` extension, ``reshape``, pointwise
-    setitem on the null mode).  Takes and returns arrays of ``xp``.
+    The discrete-Laplacian spectral division spelled on the array-API
+    subset (``fft`` extension, ``reshape``, pointwise setitem on the null
+    mode).  Takes and returns arrays of ``xp``.
     """
     if tuple(rho.shape) != grid.shape:
         raise ValueError(f"density shape {tuple(rho.shape)} != grid shape {grid.shape}")
@@ -73,27 +73,14 @@ def solve_poisson_fft(
     that the result is consistent with the multigrid operator.
     """
     b = get_backend(backend)
-    if not b.native:
-        xp = b.xp
-        x_rho = xp.asarray(np.asarray(rho, dtype=float))
-        return to_numpy(solve_poisson_fft_xp(xp, x_rho, grid))
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != grid.shape:
-        raise ValueError(f"density shape {rho.shape} != grid shape {grid.shape}")
-    rho = rho - rho.mean()
-    rho_k = np.fft.fftn(rho)
-    eig = np.zeros(grid.shape, dtype=float)
-    for axis, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
-        k = np.fft.fftfreq(n) * 2.0 * np.pi
-        lam = (2.0 * np.cos(k) - 2.0) / (h * h)  # eigenvalues of 1-D FD Laplacian
-        shape = [1, 1, 1]
-        shape[axis] = n
-        eig = eig + lam.reshape(shape)
-    eig[0, 0, 0] = 1.0  # avoid division by zero on the null mode
-    v_k = -4.0 * np.pi * rho_k / eig
-    v_k[0, 0, 0] = 0.0
-    v = np.real(np.fft.ifftn(v_k))
-    return v - v.mean()
+    x_rho = b.asarray(np.asarray(rho, dtype=float))
+    return to_numpy(solve_poisson_fft_xp(b.xp, x_rho, grid))
+
+
+def _norm_xp(xp: Any, x: Any) -> float:
+    """2-norm of a field, spelled so NumPy matches ``np.linalg.norm`` bitwise."""
+    v = xp.reshape(x, (-1,))
+    return float(xp.sqrt(xp.vecdot(v, v)))
 
 
 @dataclass
@@ -140,9 +127,9 @@ class PoissonMultigrid:
     backend:
         Array-API substrate (name or handle); None resolves from the
         active tuning profile (falling back to ``"numpy"`` for profiles
-        persisted before the backend dimension existed).  On a non-native
-        substrate the whole V-cycle runs in-namespace -- host data
-        crosses the boundary once per solve in each direction.
+        persisted before the backend dimension existed).  The whole
+        solve runs in the backend's namespace -- host data crosses the
+        boundary once per solve in each direction.
     """
 
     def __init__(
@@ -181,41 +168,25 @@ class PoissonMultigrid:
     def nlevels(self) -> int:
         return len(self.levels)
 
-    def _smooth(self, u: np.ndarray, f: np.ndarray, grid: Grid3D, sweeps: int) -> np.ndarray:
-        if self.smoother == "jacobi":
-            return weighted_jacobi(u, f, grid.spacing, sweeps=sweeps)
-        return red_black_gauss_seidel(u, f, grid.spacing, sweeps=sweeps)
-
-    def _vcycle(self, u: np.ndarray, f: np.ndarray, level: int) -> np.ndarray:
-        grid = self.levels[level]
-        if level == self.nlevels - 1:
-            # Coarsest level: exact solve of L u = f.  solve_poisson_fft
-            # solves L v = -4 pi rho, so pass rho = -f / (4 pi).
-            return solve_poisson_fft(-f / (4.0 * np.pi), grid)
-        u = self._smooth(u, f, grid, self.pre_sweeps)
-        r = residual(u, f, grid.spacing)
-        r_coarse = restrict_full_weighting(r)
-        e_coarse = self._vcycle(np.zeros_like(r_coarse), r_coarse, level + 1)
-        u = u + prolong_trilinear(e_coarse, grid.shape)
-        u = self._smooth(u, f, grid, self.post_sweeps)
-        return u
-
-    def _smooth_xp(self, xp: Any, u: Any, f: Any, grid: Grid3D, sweeps: int) -> Any:
+    def _smooth(self, u: Any, f: Any, grid: Grid3D, sweeps: int) -> Any:
+        xp = self.backend.xp
         if self.smoother == "jacobi":
             return weighted_jacobi_xp(xp, u, f, grid.spacing, sweeps=sweeps)
         return red_black_gauss_seidel_xp(xp, u, f, grid.spacing, sweeps=sweeps)
 
-    def _vcycle_xp(self, xp: Any, u: Any, f: Any, level: int) -> Any:
-        """In-namespace V-cycle: identical control flow to :meth:`_vcycle`."""
+    def _vcycle(self, u: Any, f: Any, level: int) -> Any:
+        xp = self.backend.xp
         grid = self.levels[level]
         if level == self.nlevels - 1:
+            # Coarsest level: exact solve of L u = f.  The FFT solver
+            # solves L v = -4 pi rho, so pass rho = -f / (4 pi).
             return solve_poisson_fft_xp(xp, -f / (4.0 * xp.pi), grid)
-        u = self._smooth_xp(xp, u, f, grid, self.pre_sweeps)
+        u = self._smooth(u, f, grid, self.pre_sweeps)
         r = residual_xp(xp, u, f, grid.spacing)
         r_coarse = restrict_full_weighting_xp(xp, r)
-        e_coarse = self._vcycle_xp(xp, xp.zeros_like(r_coarse), r_coarse, level + 1)
+        e_coarse = self._vcycle(xp.zeros_like(r_coarse), r_coarse, level + 1)
         u = u + prolong_trilinear_xp(xp, e_coarse, grid.shape)
-        u = self._smooth_xp(xp, u, f, grid, self.post_sweeps)
+        u = self._smooth(u, f, grid, self.post_sweeps)
         return u
 
     def solve(
@@ -234,72 +205,29 @@ class PoissonMultigrid:
         rho = np.asarray(rho, dtype=float)
         if rho.shape != grid.shape:
             raise ValueError(f"density shape {rho.shape} != grid shape {grid.shape}")
-        if not self.backend.native:
-            return self._solve_xp(rho, tol, max_cycles, initial_guess)
-        f = -4.0 * np.pi * (rho - rho.mean())
-        u = (
-            np.zeros(grid.shape)
-            if initial_guess is None
-            else np.array(initial_guess, dtype=float, copy=True)
-        )
-        u -= u.mean()
-        stats = MultigridStats()
-        f_norm = float(np.linalg.norm(f))
-        if f_norm == 0.0:
-            stats.converged = True
-            stats.residual_norms.append(0.0)
-            return u, stats
-        r0 = float(np.linalg.norm(residual(u, f, grid.spacing)))
-        stats.residual_norms.append(r0)
-        with trace_span("poisson.solve", "hartree", npoints=grid.npoints,
-                        nlevels=self.nlevels, backend=self.backend.name):
-            for cycle in range(max_cycles):
-                with trace_span("poisson.vcycle", "hartree", cycle=cycle + 1):
-                    u = self._vcycle(u, f, 0)
-                u -= u.mean()
-                r = float(np.linalg.norm(residual(u, f, grid.spacing)))
-                stats.cycles = cycle + 1
-                stats.residual_norms.append(r)
-                if r <= tol * f_norm:
-                    stats.converged = True
-                    break
-        return u, stats
-
-    def _solve_xp(
-        self,
-        rho: np.ndarray,
-        tol: float,
-        max_cycles: int,
-        initial_guess: np.ndarray | None,
-    ) -> Tuple[np.ndarray, MultigridStats]:
-        """The in-namespace solve loop of a non-native substrate."""
-        grid = self.levels[0]
-        xp = self.backend.xp
-
-        def _norm(x: Any) -> float:
-            return float(xp.linalg.vector_norm(xp.reshape(x, (-1,))))
-
-        x_rho = xp.asarray(rho)
+        b = self.backend
+        xp = b.xp
+        x_rho = b.asarray(rho)
         f = (-4.0 * xp.pi) * (x_rho - xp.mean(x_rho))
         if initial_guess is None:
             u = xp.zeros(grid.shape)
         else:
-            u = xp.asarray(np.asarray(initial_guess, dtype=float), copy=True)
+            u = b.asarray(np.asarray(initial_guess, dtype=float))
         u = u - xp.mean(u)
         stats = MultigridStats()
-        f_norm = _norm(f)
+        f_norm = _norm_xp(xp, f)
         if f_norm == 0.0:
             stats.converged = True
             stats.residual_norms.append(0.0)
             return to_numpy(u), stats
-        stats.residual_norms.append(_norm(residual_xp(xp, u, f, grid.spacing)))
+        stats.residual_norms.append(_norm_xp(xp, residual_xp(xp, u, f, grid.spacing)))
         with trace_span("poisson.solve", "hartree", npoints=grid.npoints,
-                        nlevels=self.nlevels, backend=self.backend.name):
+                        nlevels=self.nlevels, backend=b.name):
             for cycle in range(max_cycles):
                 with trace_span("poisson.vcycle", "hartree", cycle=cycle + 1):
-                    u = self._vcycle_xp(xp, u, f, 0)
+                    u = self._vcycle(u, f, 0)
                 u = u - xp.mean(u)
-                r = _norm(residual_xp(xp, u, f, grid.spacing))
+                r = _norm_xp(xp, residual_xp(xp, u, f, grid.spacing))
                 stats.cycles = cycle + 1
                 stats.residual_norms.append(r)
                 if r <= tol * f_norm:

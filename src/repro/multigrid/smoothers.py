@@ -7,15 +7,13 @@ The smoothers operate on the discrete Poisson problem
 with periodic boundaries.  Because the periodic Laplacian has a constant
 null space, the solvers work in the mean-zero subspace.
 
-Each public smoother takes a ``backend=`` argument selecting the
-array-API substrate.  The ``None``/``"numpy"`` path is the pre-refactor
-native code, bit for bit; other namespaces run the ``_xp``-suffixed
-portable kernels below, which re-spell the same elementwise arithmetic
-on the array-API subset (``roll`` neighbours; a parity-mask ``where``
-in place of boolean-mask assignment for red-black ordering).  The
-portable kernels take and return arrays *of the namespace* so the
-V-cycle in :mod:`repro.multigrid.poisson` can stay in-namespace across
-a whole solve; the public wrappers convert at the boundary.
+Each operation has one body: the ``_xp``-suffixed kernel, written on the
+array-API subset (``roll`` neighbours; a parity-mask ``where`` in place
+of boolean-mask assignment for red-black ordering).  The kernels take a
+namespace ``xp`` and arrays of it, so the V-cycle in
+:mod:`repro.multigrid.poisson` stays in-namespace across a whole solve;
+NumPy is one namespace they run in.  The unsuffixed public functions are
+host boundary wrappers (NumPy in, NumPy out) around the same kernels.
 """
 
 from __future__ import annotations
@@ -27,35 +25,16 @@ import numpy as np
 from repro.backend import ArrayBackend, get_backend, to_numpy
 
 
-def laplacian_periodic(u: np.ndarray, spacing: Tuple[float, float, float]) -> np.ndarray:
-    """Apply the periodic 7-point Laplacian to a field."""
-    u = np.asarray(u)
-    out = np.zeros_like(u)
-    for axis in range(3):
-        h2 = spacing[axis] * spacing[axis]
-        out += (np.roll(u, 1, axis=axis) + np.roll(u, -1, axis=axis) - 2.0 * u) / h2
-    return out
-
-
-def _neighbor_sum(u: np.ndarray, spacing: Tuple[float, float, float]) -> np.ndarray:
-    """Sum of neighbour values weighted by 1/h_d^2 (Laplacian minus diagonal)."""
-    out = np.zeros_like(u)
-    for axis in range(3):
-        h2 = spacing[axis] * spacing[axis]
-        out += (np.roll(u, 1, axis=axis) + np.roll(u, -1, axis=axis)) / h2
-    return out
-
-
 def _diag_coeff(spacing: Tuple[float, float, float]) -> float:
     """Diagonal coefficient of the 7-point Laplacian, -2 sum_d 1/h_d^2."""
     return -2.0 * sum(1.0 / (h * h) for h in spacing)
 
 
 # --------------------------------------------------------------------- #
-# portable array-API kernels (operate on arrays of the namespace ``xp``)
+# array-API kernels (operate on arrays of the namespace ``xp``)
 # --------------------------------------------------------------------- #
 def laplacian_periodic_xp(xp: Any, u: Any, spacing: Tuple[float, float, float]) -> Any:
-    """Periodic 7-point Laplacian in an arbitrary array-API namespace."""
+    """Periodic 7-point Laplacian in namespace ``xp``."""
     out = xp.zeros_like(u)
     for axis in range(3):
         h2 = spacing[axis] * spacing[axis]
@@ -64,6 +43,7 @@ def laplacian_periodic_xp(xp: Any, u: Any, spacing: Tuple[float, float, float]) 
 
 
 def _neighbor_sum_xp(xp: Any, u: Any, spacing: Tuple[float, float, float]) -> Any:
+    """Sum of neighbour values weighted by 1/h_d^2 (Laplacian minus diagonal)."""
     out = xp.zeros_like(u)
     for axis in range(3):
         h2 = spacing[axis] * spacing[axis]
@@ -107,10 +87,9 @@ def red_black_gauss_seidel_xp(
 ) -> Any:
     """Red-black Gauss-Seidel sweeps on ``L u = f`` in namespace ``xp``.
 
-    Same elementwise arithmetic as the native kernel; the boolean-mask
-    assignment ``u[mask] = rhs[mask] / diag`` becomes a ``where`` select
-    (the array API has no integer-array indexing, and ``where`` keeps
-    the untouched sub-lattice bit-identical).
+    Each sub-lattice update is a ``where`` select rather than a
+    boolean-mask assignment: the array API has no integer-array
+    indexing, and ``where`` keeps the untouched sub-lattice bit-identical.
     """
     if any(n % 2 != 0 for n in u.shape):
         raise ValueError("red-black ordering needs even grid sizes on periodic grids")
@@ -132,8 +111,20 @@ def residual_xp(
 
 
 # --------------------------------------------------------------------- #
-# public smoothers (host NumPy in / host NumPy out)
+# host boundary wrappers (NumPy in / NumPy out)
 # --------------------------------------------------------------------- #
+def laplacian_periodic(u: np.ndarray, spacing: Tuple[float, float, float]) -> np.ndarray:
+    """Apply the periodic 7-point Laplacian to a field."""
+    return laplacian_periodic_xp(np, np.asarray(u), spacing)
+
+
+def residual(
+    u: np.ndarray, f: np.ndarray, spacing: Tuple[float, float, float]
+) -> np.ndarray:
+    """Residual r = f - L u."""
+    return residual_xp(np, np.asarray(u), np.asarray(f), spacing)
+
+
 def weighted_jacobi(
     u: np.ndarray,
     f: np.ndarray,
@@ -147,20 +138,12 @@ def weighted_jacobi(
     Returns the relaxed field; the input array is not modified.
     """
     b = get_backend(backend)
-    if not b.native:
-        xp = b.xp
-        out = weighted_jacobi_xp(
-            xp, xp.asarray(np.asarray(u, dtype=float)),
-            xp.asarray(np.asarray(f, dtype=float)),
-            spacing, sweeps=sweeps, omega=omega,
-        )
-        return to_numpy(out)
-    diag = _diag_coeff(spacing)
-    u = np.array(u, copy=True)
-    for _ in range(sweeps):
-        u_new = (f - _neighbor_sum(u, spacing)) / diag
-        u += omega * (u_new - u)
-    return u
+    out = weighted_jacobi_xp(
+        b.xp, b.asarray(np.asarray(u, dtype=float)),
+        b.asarray(np.asarray(f, dtype=float)),
+        spacing, sweeps=sweeps, omega=omega,
+    )
+    return to_numpy(out)
 
 
 def red_black_gauss_seidel(
@@ -173,33 +156,13 @@ def red_black_gauss_seidel(
     """Red-black Gauss-Seidel sweeps on L u = f (even grid sizes, periodic).
 
     Each sweep updates the red sub-lattice (i+j+k even) then the black one,
-    which on even-sized periodic grids decouples exactly.
+    which on even-sized periodic grids decouples exactly.  Returns the
+    relaxed field; the input array is not modified.
     """
     b = get_backend(backend)
-    if not b.native:
-        xp = b.xp
-        out = red_black_gauss_seidel_xp(
-            xp, xp.asarray(np.asarray(u, dtype=float)),
-            xp.asarray(np.asarray(f, dtype=float)),
-            spacing, sweeps=sweeps,
-        )
-        return to_numpy(out)
-    u = np.array(u, copy=True)
-    if any(n % 2 != 0 for n in u.shape):
-        raise ValueError("red-black ordering needs even grid sizes on periodic grids")
-    diag = _diag_coeff(spacing)
-    ii, jj, kk = np.indices(u.shape)
-    red = (ii + jj + kk) % 2 == 0
-    black = ~red
-    for _ in range(sweeps):
-        for mask in (red, black):
-            rhs = f - _neighbor_sum(u, spacing)
-            u[mask] = rhs[mask] / diag
-    return u
-
-
-def residual(
-    u: np.ndarray, f: np.ndarray, spacing: Tuple[float, float, float]
-) -> np.ndarray:
-    """Residual r = f - L u."""
-    return f - laplacian_periodic(u, spacing)
+    out = red_black_gauss_seidel_xp(
+        b.xp, b.asarray(np.asarray(u, dtype=float)),
+        b.asarray(np.asarray(f, dtype=float)),
+        spacing, sweeps=sweeps,
+    )
+    return to_numpy(out)

@@ -5,11 +5,11 @@ by subsampling on even points); prolongation is its adjoint-scaled
 trilinear interpolation.  Both assume even grid sizes and periodic wrap,
 matching the vertex-centred hierarchy produced by :meth:`Grid3D.coarsen`.
 
-Both operators take a ``backend=`` argument; ``None``/``"numpy"`` keeps
-the pre-refactor native code bit-identically, while other namespaces run
-the ``_xp`` portable kernels (strided slicing and ``roll`` only -- both
-in the array-API subset).  The ``_xp`` kernels stay in-namespace so the
-V-cycle can chain them without host round trips.
+Each operator has one body: the ``_xp`` kernel, spelled with strided
+slicing and ``roll`` only (both in the array-API subset) and run in
+whatever namespace ``xp`` it is given, NumPy included.  The kernels stay
+in-namespace so the V-cycle can chain them without host round trips; the
+unsuffixed public functions are host boundary wrappers around them.
 """
 
 from __future__ import annotations
@@ -21,13 +21,8 @@ import numpy as np
 from repro.backend import ArrayBackend, get_backend, to_numpy
 
 
-def _axis_full_weight(f: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the 1-D full-weighting filter [1/4, 1/2, 1/4] along ``axis``."""
-    return 0.5 * f + 0.25 * (np.roll(f, 1, axis=axis) + np.roll(f, -1, axis=axis))
-
-
 def restrict_full_weighting_xp(xp: Any, fine: Any) -> Any:
-    """Full-weighting restriction in an arbitrary array-API namespace."""
+    """Full-weighting restriction in namespace ``xp``."""
     if len(fine.shape) != 3:
         raise ValueError("expected a 3-D field")
     if any(n % 2 != 0 for n in fine.shape):
@@ -41,7 +36,7 @@ def restrict_full_weighting_xp(xp: Any, fine: Any) -> Any:
 
 
 def prolong_trilinear_xp(xp: Any, coarse: Any, fine_shape) -> Any:
-    """Trilinear prolongation in an arbitrary array-API namespace."""
+    """Trilinear prolongation in namespace ``xp``."""
     if len(coarse.shape) != 3:
         raise ValueError("expected a 3-D field")
     if tuple(2 * n for n in coarse.shape) != tuple(fine_shape):
@@ -73,18 +68,7 @@ def restrict_full_weighting(
     the 27-point full-weighted average of the fine field around that point.
     """
     b = get_backend(backend)
-    if not b.native:
-        xp = b.xp
-        return to_numpy(restrict_full_weighting_xp(xp, xp.asarray(np.asarray(fine))))
-    fine = np.asarray(fine)
-    if fine.ndim != 3:
-        raise ValueError("expected a 3-D field")
-    if any(n % 2 != 0 for n in fine.shape):
-        raise ValueError(f"cannot restrict odd-sized field {fine.shape}")
-    out = fine
-    for axis in range(3):
-        out = _axis_full_weight(out, axis)
-    return out[::2, ::2, ::2].copy()
+    return to_numpy(restrict_full_weighting_xp(b.xp, b.asarray(fine)))
 
 
 def prolong_trilinear(
@@ -98,29 +82,4 @@ def prolong_trilinear(
     flanking coarse points; tensor product over the three axes.
     """
     b = get_backend(backend)
-    if not b.native:
-        xp = b.xp
-        return to_numpy(
-            prolong_trilinear_xp(xp, xp.asarray(np.asarray(coarse)), fine_shape)
-        )
-    coarse = np.asarray(coarse)
-    if coarse.ndim != 3:
-        raise ValueError("expected a 3-D field")
-    if tuple(2 * n for n in coarse.shape) != tuple(fine_shape):
-        raise ValueError(
-            f"fine shape {fine_shape} is not double the coarse shape {coarse.shape}"
-        )
-    out = coarse
-    for axis in range(3):
-        n = out.shape[axis]
-        new_shape = list(out.shape)
-        new_shape[axis] = 2 * n
-        up = np.empty(new_shape, dtype=out.dtype)
-        even = [slice(None)] * 3
-        odd = [slice(None)] * 3
-        even[axis] = slice(0, 2 * n, 2)
-        odd[axis] = slice(1, 2 * n, 2)
-        up[tuple(even)] = out
-        up[tuple(odd)] = 0.5 * (out + np.roll(out, -1, axis=axis))
-        out = up
-    return out
+    return to_numpy(prolong_trilinear_xp(b.xp, b.asarray(coarse), fine_shape))

@@ -1,13 +1,9 @@
-"""Performance instrumentation: timers, counters, paper-style reports."""
+"""Performance instrumentation: counters and paper-style reports."""
 
-from repro.perf.timers import Timer, RegionTimer, timed
 from repro.perf.counters import CounterSet
 from repro.perf.report import Table, format_speedup, format_seconds
 
 __all__ = [
-    "Timer",
-    "RegionTimer",
-    "timed",
     "CounterSet",
     "Table",
     "format_speedup",

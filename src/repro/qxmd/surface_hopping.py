@@ -10,9 +10,10 @@ pay for them (velocity-rescaling criterion); the rescale factor is
 returned to the MD driver.
 
 All floating-point arithmetic lives in :mod:`repro.qxmd.sh_kernels` and
-runs here on single-row ``(1, nstates)`` views.  The ensemble engine
-calls the same kernels on ``(ntraj, nstates)`` stacks, which is what
-makes a batch-extracted trajectory bit-identical to this class.
+runs here, in the ``numpy`` namespace, on single-row ``(1, nstates)``
+views.  The ensemble engine calls the same kernels on
+``(ntraj, nstates)`` stacks, which is what makes a batch-extracted
+trajectory bit-identical to this class.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import numpy as np
 
 from repro.qxmd.sh_kernels import (
     HopPolicy,
-    apply_edc_batch,
-    batched_norm,
-    hop_probabilities_batch,
-    propagate_amplitudes_batch,
+    apply_edc_batch_xp,
+    batched_norm_xp,
+    hop_probabilities_batch_xp,
+    propagate_amplitudes_batch_xp,
     resolve_hops,
     select_hops,
 )
@@ -53,7 +54,7 @@ class SurfaceHoppingState:
         n = self.amplitudes.size
         if not (0 <= self.active < n):
             raise ValueError("active state out of range")
-        norm = float(batched_norm(self.amplitudes[None, :])[0])
+        norm = float(batched_norm_xp(np, self.amplitudes[None, :])[0])
         if norm == 0:
             raise ValueError("zero amplitude vector")
         self.amplitudes = self.amplitudes / norm
@@ -149,8 +150,8 @@ class FSSH:
         n = state.nstates
         if energies.shape != (n,) or nac.shape != (n, n):
             raise ValueError("energies/NAC dimensions do not match the state")
-        state.amplitudes = propagate_amplitudes_batch(
-            state.amplitudes[None, :], energies, nac, dt, self.substeps
+        state.amplitudes = propagate_amplitudes_batch_xp(
+            np, state.amplitudes[None, :], energies, nac, dt, self.substeps
         )[0]
 
     def hop_probabilities(
@@ -158,7 +159,8 @@ class FSSH:
     ) -> np.ndarray:
         """Tully's fewest-switches probabilities g_{active -> j}."""
         nac = np.asarray(nac, dtype=np.complex128)
-        return hop_probabilities_batch(
+        return hop_probabilities_batch_xp(
+            np,
             state.amplitudes[None, :],
             np.array([state.active]),
             nac,
@@ -217,8 +219,9 @@ class FSSH:
         if self.policy.dec_correction != "edc":
             return
         energies = np.asarray(energies, dtype=float)
-        state.amplitudes = apply_edc_batch(
-            state.amplitudes[None, :].copy(),
+        state.amplitudes = apply_edc_batch_xp(
+            np,
+            state.amplitudes[None, :],
             np.array([state.active]),
             energies,
             dt,

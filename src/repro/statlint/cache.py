@@ -18,19 +18,19 @@ On a full hit -- every file fingerprint unchanged -- findings are
 reconstructed from the stored dicts without parsing a single module,
 which is what makes a warm full-repo lint land well under half the cold
 wall time.  On a partial hit, unchanged files reuse their per-module
-findings and only the project pass re-runs.  Writes are atomic
-(tmp + rename) so an interrupted lint never tears the cache.
+findings and only the project pass re-runs.  Writes go through
+:func:`~repro.resilience.atomicio.atomic_write_text` (fsync'd tmp +
+rename) so an interrupted lint never tears the cache.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional
 
+from repro.resilience.atomicio import atomic_write_text
 from repro.statlint.config import LintConfig
 
 CACHE_VERSION = 1
@@ -155,21 +155,6 @@ class LintCache:
             "project": self.project,
         }
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, sort_keys=True)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write_text(self.path, json.dumps(payload, sort_keys=True))
         except OSError:  # pragma: no cover - cache is best effort
             pass

@@ -3,7 +3,7 @@
 Two gates, one per axis of the array-API refactor:
 
 1. **NumPy-path regression**: every hot kernel (kin/pot/nonlocal/CAP/
-   multigrid/Hartree), run on the default NumPy backend, must reproduce
+   multigrid/Hartree/FSSH), run on the default NumPy backend, must reproduce
    the *pre-refactor* outputs committed in ``tests/data/golden_kernels.npz``
    -- bit-for-bit on the platform that generated the file
    (``REPRO_GOLDEN_EXACT=1``), and to 1e-12 across BLAS builds.  The
@@ -43,6 +43,9 @@ SEED = 777
 THETA = (0.1, 0.0, -0.05)
 DT = 0.05
 
+#: FSSH swarm shape and MD step of the surface-hopping kernels.
+SH_NTRAJ, SH_NSTATES, SH_DT, SH_SUBSTEPS = 6, 5, 0.8, 8
+
 
 def _inputs():
     """Deterministic shared inputs of every kernel in the matrix."""
@@ -61,6 +64,56 @@ def _inputs():
         "grid": grid, "wf": wf, "ref": ref, "vloc": vloc,
         "u": u, "f": f, "rho": rho, "coarse": coarse,
     }
+
+
+def _fssh_inputs():
+    """Deterministic stacked FSSH state (separate stream from ``_inputs``).
+
+    State 3 is degenerate with state 2 (the EDC gap guard) and row 0 has
+    an empty active state (the collapsed-population guard).
+    """
+    rng = np.random.default_rng(SEED + 1)
+    shape = (SH_NTRAJ, SH_NSTATES)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    active = rng.integers(0, SH_NSTATES, size=SH_NTRAJ)
+    c[0, active[0]] = 0.0
+    c = c / np.sqrt(np.sum(np.abs(c) ** 2, axis=1))[:, None]
+    energies = np.sort(rng.standard_normal(SH_NSTATES))
+    energies[3] = energies[2]
+    m = rng.standard_normal((SH_NSTATES, SH_NSTATES)) \
+        + 1j * rng.standard_normal((SH_NSTATES, SH_NSTATES))
+    nac = 0.5 * (m - m.conj().T)
+    kinetic = rng.uniform(1e-3, 1.0, size=SH_NTRAJ)
+    return {"c": c, "active": active, "energies": energies, "nac": nac,
+            "kinetic": kinetic}
+
+
+def _fssh(inp, backend=None):
+    from repro.backend import get_backend, to_numpy
+    from repro.qxmd.sh_kernels import (
+        apply_edc_batch_xp,
+        hop_probabilities_batch_xp,
+        propagate_amplitudes_batch_xp,
+        stay_probabilities_xp,
+    )
+
+    b = get_backend(backend)
+    xp = b.xp
+    c, active, energies, nac, kinetic = (
+        b.asarray(inp[k])
+        for k in ("c", "active", "energies", "nac", "kinetic")
+    )
+    prop = propagate_amplitudes_batch_xp(xp, c, energies, nac, SH_DT,
+                                         SH_SUBSTEPS)
+    g = hop_probabilities_batch_xp(xp, c, active, nac, SH_DT)
+    out = {
+        "fssh_propagate": prop,
+        "fssh_hop": g,
+        "fssh_stay": stay_probabilities_xp(xp, g),
+        "fssh_edc": apply_edc_batch_xp(xp, prop, active, energies, SH_DT,
+                                       kinetic, 0.3),
+    }
+    return {k: to_numpy(v) for k, v in out.items()}
 
 
 def _kin(inp, variant, block_size=None, **kw):
@@ -154,6 +207,7 @@ def golden_kernel_outputs():
         out[f"nl_{variant}"] = _nonlocal(inp, variant)
     out.update(_multigrid(inp))
     out["hartree_mg"], out["hartree_fft"] = _hartree(inp)
+    out.update(_fssh(_fssh_inputs()))
     return out
 
 
@@ -254,6 +308,13 @@ class TestCrossNamespaceAgreement:
         mg_xp, fft_xp = _hartree(inp, backend=strict)
         self._check(mg_np, mg_xp, "hartree_mg")
         self._check(fft_np, fft_xp, "hartree_fft")
+
+    def test_fssh(self, strict):
+        inp = _fssh_inputs()
+        a = _fssh(inp)
+        b = _fssh(inp, backend=strict)
+        for key in a:
+            self._check(a[key], b[key], key)
 
 
 if __name__ == "__main__":

@@ -117,6 +117,21 @@ class TestRecoveryPerFaultClass:
         assert sup.log.count("recovered") == 1
         self._assert_matches(sim, ref)
 
+    def test_recovered_events_carry_recovery_time(self, tmp_path):
+        sim = make_sim(seed=7, **CHEAP)
+        sup = RunSupervisor(sim, tmp_path, SupervisorConfig(checkpoint_every=1))
+        # Arrival 2 diverges step 2; after the restore, step 2 re-runs on
+        # arrivals 3-4 and arrival 6 diverges step 3.
+        plan = FaultPlan([FaultSpec("qxmd.scf_diverge", at_call=2),
+                          FaultSpec("qxmd.scf_diverge", at_call=6)])
+        with armed(plan):
+            sup.run(3)
+        recovered = [e for e in sup.log.events if e["event"] == "recovered"]
+        assert len(recovered) == 2
+        for event in recovered:
+            assert isinstance(event["recovery_s"], float)
+            assert event["recovery_s"] >= 0.0
+
     def test_lfd_nan_caught_by_guard(self, tmp_path):
         ref = self._reference()
         sim = make_sim(seed=7, **CHEAP)
