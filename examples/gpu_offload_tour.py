@@ -31,7 +31,7 @@ def main() -> None:
     # --- 1. Algorithms 1-5 ----------------------------------------------- #
     print("1) kin_prop optimization sequence (24^3 mesh, 32 orbitals):")
     base = None
-    for variant in ("baseline", "interchange", "blocked", "collapsed"):
+    for variant in ("baseline", "interchange", "blocked", "collapsed", "gemm"):
         w = wf.copy()
         t0 = time.perf_counter()
         kinetic_step(w, 0.02, variant=variant)

@@ -33,6 +33,7 @@ from repro.qxmd.forces import ForceCalculator
 from repro.qxmd.hartree import hartree_potential
 from repro.qxmd.md import MDState, temperature
 from repro.qxmd.xc import lda_exchange_correlation
+from repro.tuning.defaults import DEFAULT_PARAMS
 
 
 @dataclass
@@ -80,7 +81,7 @@ class EhrenfestDynamics:
         n_qd: int = 20,
         laser: Optional[LaserPulse] = None,
         refresh_potential_every: int = 5,
-        kin_variant: str = "collapsed",
+        kin_variant: str = str(DEFAULT_PARAMS["lfd.kin_prop"]["variant"]),
     ) -> None:
         if dt_md <= 0 or n_qd < 1:
             raise ValueError("dt_md must be positive and n_qd >= 1")

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.scissor import scissor_shift
+from repro.core.scissor import filled_orbital_count, scissor_shift
 from repro.core.shadow import ShadowLedger
 from repro.core.timescale import TimescaleSplit
 from repro.device.gpu import VirtualGPU
@@ -43,6 +43,7 @@ from repro.qxmd.md import MDState, kinetic_energy, temperature
 from repro.qxmd.nac import nonadiabatic_couplings
 from repro.qxmd.sh_kernels import HopPolicy
 from repro.qxmd.surface_hopping import FSSH, SurfaceHoppingState
+from repro.tuning.defaults import DEFAULT_PARAMS
 
 
 @dataclass
@@ -56,7 +57,7 @@ class DCMESHConfig:
     ncg: int = 3
     norb_extra: int = 2
     mixing: float = 0.4
-    kin_variant: str = "collapsed"
+    kin_variant: str = str(DEFAULT_PARAMS["lfd.kin_prop"]["variant"])
     include_nonlocal: bool = True
     use_scissor: bool = True
     use_surface_hopping: bool = True
@@ -124,7 +125,7 @@ def _lfd_domain_task(args: tuple) -> np.ndarray:
     prop_wf = basis.copy()
     corrector = None
     if use_corrector:
-        lumo = int(np.ceil(float(occupations.sum()) / 2.0 - 1e-9))
+        lumo = filled_orbital_count(float(occupations.sum()))
         if lumo < basis.norb:
             ref = WaveFunctionSet(
                 basis.grid,
@@ -287,7 +288,7 @@ class DCMESHSimulation:
         nelec = float(st.occupations.sum())
         if nelec <= 0:
             raise ValueError("domain has no occupied states")
-        homo = int(np.ceil(nelec / 2.0 - 1e-9)) - 1
+        homo = filled_orbital_count(nelec) - 1
         target = homo + target_offset
         if target >= st.wf.norb:
             raise ValueError("target state outside the orbital set")
@@ -300,8 +301,7 @@ class DCMESHSimulation:
         """Total electron population above each domain's ground filling."""
         total = 0.0
         for st in self.dc.states:
-            nelec = st.occupations.sum()
-            nfull = int(nelec // 2)
+            nfull = filled_orbital_count(float(st.occupations.sum()))
             total += float(st.occupations[nfull:].sum())
         return total
 

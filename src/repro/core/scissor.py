@@ -18,6 +18,16 @@ from repro.lfd.wavefunction import WaveFunctionSet
 from repro.qxmd.hamiltonian import KSHamiltonian
 
 
+def filled_orbital_count(nelec: float) -> int:
+    """Orbitals the Aufbau ground state of ``nelec`` electrons occupies.
+
+    ``ceil(nelec / 2)``, with slack for floating-point electron sums:
+    remapped occupations are rescaled to the electron count, so a sum
+    of 6 can read 5.999999999999999 or 6.000000000000001.
+    """
+    return int(np.ceil(nelec / 2.0 - 1e-9))
+
+
 def homo_lumo_gap(
     eigenvalues: np.ndarray, occupations: np.ndarray
 ) -> Tuple[float, int, int]:
@@ -35,7 +45,7 @@ def homo_lumo_gap(
     nelec = float(occupations.sum())
     if nelec <= 0:
         raise ValueError("no occupied states")
-    nfull = int(np.ceil(nelec / 2.0 - 1e-9))
+    nfull = filled_orbital_count(nelec)
     homo = nfull - 1
     lumo = nfull
     if lumo >= eigenvalues.size:

@@ -159,13 +159,20 @@ def pair_split_coefficients(
 
 
 def pair_split_matrix(coeff: PairSplitCoefficients) -> np.ndarray:
-    """Dense matrix of one splitting pass (reference for unitarity tests)."""
+    """Dense matrix of one splitting pass.
+
+    Row ``i`` holds ``al`` on the diagonal, ``bl[i]`` at column ``i-1``
+    and ``bu[i]`` at column ``i+1`` (periodic), the same update the
+    ``kin_prop`` kernels apply point by point.
+    """
     n = coeff.n
+    rows = np.arange(n)
     mat = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        mat[i, i] = coeff.al
-        mat[i, (i - 1) % n] += coeff.bl[i]
-        mat[i, (i + 1) % n] += coeff.bu[i]
+    mat[rows, rows] = coeff.al
+    # Separate statements: for n = 2 the two neighbours coincide and
+    # must accumulate.
+    mat[rows, (rows - 1) % n] += coeff.bl
+    mat[rows, (rows + 1) % n] += coeff.bu
     return mat
 
 

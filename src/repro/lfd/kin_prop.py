@@ -31,23 +31,36 @@ Variant        Paper analogue
                ``target teams distribute collapse(3)`` + ``parallel for
                simd``.  This is the variant executed on the virtual
                GPU device (with ``nowait`` async launch modelling).
+``gemm``       Beyond the paper (the default): the Eq. 9-style
+               BLASification of the kinetic term.  Each direction's
+               three passes are multiplied into one n x n Strang
+               matrix ``U_d``, applied as one mode product -- a GEMM
+               along x and z, a GEMM batched over x-planes along y.
 =============  =======================================================
 
-All variants produce bit-identical results for the same inputs (up to
-floating-point reassociation) and are cross-checked in the tests.
+All variants produce the same results for the same inputs up to
+floating-point reassociation and are cross-checked in the tests; the
+pair-update variants are bit-identical to each other.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend, to_numpy
 from repro.constants import M_ELECTRON
-from repro.grids.stencil import PairSplitCoefficients, strang_passes
+from repro.grids.stencil import (
+    PairSplitCoefficients,
+    pair_split_matrix,
+    strang_passes,
+)
 from repro.lfd.wavefunction import WaveFunctionSet
 from repro.obs import trace_charge, trace_span
+from repro.tuning.defaults import DEFAULT_PARAMS
 
 
 def _pair_indices(n: int, parity: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -209,14 +222,103 @@ def kin_prop_collapsed(  # dclint: disable=DCL006 -- timed by kinetic_step
     _apply_pass_block(p, coeff, left, right)
 
 
+# --------------------------------------------------------------------- #
+# beyond the paper: one GEMM per direction
+# --------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=16)
+def _field_free_sweep(
+    n: int, h: float, dt: float, mass: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The theta = 0 Strang matrix and its two wrap-bond terms.
+
+    Returns ``(U0, W_up, W_dn)`` with ``W_up = s E0[:, n-1] E0[0, :]``
+    and ``W_dn = s E0[:, 0] E0[n-1, :]``: ``E0`` is the field-free even
+    pass and ``s`` the field-free hop of the odd pass.
+    """
+    half, full, _ = strang_passes(n, h, dt, theta=0.0, mass=mass)
+    even = pair_split_matrix(half)
+    u0 = even @ pair_split_matrix(full) @ even
+    hop = full.bu[n - 1]  # the odd pass's wrap pair is (n-1, 0)
+    w_up = hop * np.outer(even[:, n - 1], even[0, :])
+    w_dn = hop * np.outer(even[:, 0], even[n - 1, :])
+    for part in (u0, w_up, w_dn):
+        part.flags.writeable = False
+    return u0, w_up, w_dn
+
+
+@functools.lru_cache(maxsize=32)
+def strang_operator(  # dclint: disable=DCL006 -- timed by kinetic_step
+    n: int, h: float, dt: float, theta: float, mass: float, dtype: np.dtype
+) -> np.ndarray:
+    """One direction's Strang sweep E(dt/2) O(dt) E(dt/2) as an n x n matrix.
+
+    Equal, to round-off, to the product of the three pass matrices of
+    :func:`~repro.grids.stencil.strang_passes`, so it is unitary to
+    round-off.  Returned read-only, in ``dtype``.
+
+    A uniform Peierls phase is a gauge transformation on every bond but
+    the periodic wrap bond (n-1, 0), which only the odd pass contains.
+    With ``D = diag(exp(i theta j))``, the field-dependent passes are
+    ``E = D E0 D^*`` and ``O = D (O0 + Delta) D^*``, where ``Delta``
+    holds the wrap bond's residual phase ``exp(-+i n theta) - 1``; so
+
+        U(theta) = D (U0 + E0 Delta E0) D^*,
+
+    and ``E0 Delta E0`` is the two rank-one wrap-bond terms of
+    :func:`_field_free_sweep`.  A new ``theta`` therefore costs a few
+    n x n array operations instead of building three pass matrices.
+    Memoised: under an x-polarised laser only ``theta_x`` changes from
+    one QD sub-step to the next, so the y and z operators are built
+    once.  The cast keeps complex64 propagation in single precision.
+    """
+    u0, w_up, w_dn = _field_free_sweep(n, h, dt, mass)
+    wrap = cmath.exp(1j * n * theta)
+    u = u0 + (wrap.conjugate() - 1.0) * w_up + (wrap - 1.0) * w_dn
+    phase = np.exp(1j * theta * np.arange(n))
+    u *= np.outer(phase, phase.conj())
+    u = u.astype(dtype, copy=False)
+    u.flags.writeable = False
+    return u
+
+
+def kin_prop_gemm(  # dclint: disable=DCL006 -- timed by kinetic_step
+    soa: np.ndarray, mats: Sequence[np.ndarray]
+) -> None:
+    """Apply the whole kinetic sweep as one mode product per direction.
+
+    ``mats`` holds the n_d x n_d :func:`strang_operator` matrix of each
+    axis; along axis d the update is ``psi[.., i, ..] <- sum_j
+    U_d[i, j] psi[.., j, ..]``.  Along x the SoA array is one
+    (nx, rest) matrix, so this is a single GEMM; along y it is a GEMM
+    batched over the x-planes.  A batch over every (x, y) slab is slow,
+    so along z the kernel multiplies a z-leading copy instead.  Two
+    scratch buffers take turns, and ``soa`` is written once, at the end.
+    """
+    if soa.ndim != 4:
+        raise ValueError("SoA data must have shape (nx, ny, nz, norb)")
+    nx, ny, nz, norb = soa.shape
+    u_x, u_y, u_z = mats
+    if (u_x.shape, u_y.shape, u_z.shape) != ((nx, nx), (ny, ny), (nz, nz)):
+        raise ValueError("Strang matrices do not match the grid axes")
+    buf_a = u_x @ soa.reshape(nx, -1)
+    buf_b = np.matmul(u_y, buf_a.reshape(nx, ny, -1))
+    lead = buf_a.reshape(nz, nx, ny, norb)
+    lead[...] = np.moveaxis(buf_b.reshape(soa.shape), 2, 0)
+    np.matmul(u_z, lead.reshape(nz, -1), out=buf_b.reshape(nz, -1))
+    soa[...] = np.moveaxis(buf_b.reshape(lead.shape), 0, 2)
+
+
 #: Registry of kernel variants (name -> callable(soa_or_aos, coeff, axis)).
 #: ``blocked`` additionally accepts ``block_size=``; the common calling
 #: convention is positional ``(data, coeff, axis)`` with ``None`` return.
+#: ``gemm`` is the exception: one call ``(soa, (U_x, U_y, U_z))`` applies
+#: the whole sweep.
 KIN_PROP_VARIANTS: Dict[str, Callable[..., None]] = {
     "baseline": kin_prop_baseline,
     "interchange": kin_prop_interchange,
     "blocked": kin_prop_blocked,
     "collapsed": kin_prop_collapsed,
+    "gemm": kin_prop_gemm,
 }
 
 
@@ -253,7 +355,7 @@ def kinetic_step(
     wf: WaveFunctionSet,
     dt: float,
     theta: Sequence[float] = (0.0, 0.0, 0.0),
-    variant: str = "collapsed",
+    variant: str = str(DEFAULT_PARAMS["lfd.kin_prop"]["variant"]),
     block_size: Optional[int] = None,
     mass: float = M_ELECTRON,
     backend: Union[str, ArrayBackend, None] = None,
@@ -272,7 +374,8 @@ def kinetic_step(
 
     ``block_size`` only affects the ``blocked`` variant; ``None`` defers
     to :func:`kin_prop_blocked`, which resolves the tile width from the
-    active TuningProfile.
+    active TuningProfile.  ``variant`` defaults to the ``lfd.kin_prop``
+    entry of :data:`repro.tuning.defaults.DEFAULT_PARAMS`.
 
     ``backend`` selects the array-API substrate.  ``None``/``"numpy"``
     runs the pre-refactor native kernels bit-identically; any other
@@ -285,10 +388,18 @@ def kinetic_step(
         raise ValueError(f"unknown variant {variant!r}; options: {sorted(KIN_PROP_VARIANTS)}")
     b = get_backend(backend)
     with trace_span("kin_prop", "kinetic", variant=variant, backend=b.name):
-        # 9 pair-split passes, 14 real flops and 3 complex-word streams
-        # per point-orbital per pass (see repro.lfd.costs.kin_prop_pass).
         pts = wf.grid.npoints * wf.norb
-        trace_charge(9.0 * 14.0 * pts, 9.0 * 3.0 * wf.psi.itemsize * pts)
+        if variant == "gemm" and b.native:
+            # 8 real flops per complex multiply-add, n_d of them per
+            # point-orbital along each axis; five read-write sweeps over
+            # psi (three GEMMs, the z-leading copy and the write-back).
+            trace_charge(8.0 * sum(wf.grid.shape) * pts,
+                         10.0 * wf.psi.itemsize * pts)
+        else:
+            # 9 pair-split passes, 14 real flops and 3 complex-word
+            # streams per point-orbital per pass (see
+            # repro.lfd.costs.kin_prop_pass).
+            trace_charge(9.0 * 14.0 * pts, 9.0 * 3.0 * wf.psi.itemsize * pts)
         if not b.native:
             xp = b.xp
             single = wf.dtype == np.complex64
@@ -311,6 +422,13 @@ def kinetic_step(
                 for coeff in strang_passes(n, h, dt, theta=theta[axis], mass=mass):
                     kin_prop_baseline(data, coeff, axis)
             wf.from_aos(data)
+            return
+        if variant == "gemm":
+            kin_prop_gemm(wf.psi, [
+                strang_operator(n, float(h), float(dt), float(th),
+                                float(mass), wf.dtype)
+                for n, h, th in zip(wf.grid.shape, wf.grid.spacing, theta)
+            ])
             return
         kernel = KIN_PROP_VARIANTS[variant]
         for axis in range(3):

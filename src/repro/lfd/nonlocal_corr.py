@@ -70,21 +70,36 @@ def nonlocal_correction_blas(  # dclint: disable=DCL006 -- timed by NonlocalCorr
     scissor_shift: float,
     dt: float,
     normalize: bool = True,
+    ref_h: Optional[np.ndarray] = None,
 ) -> None:
-    """Apply Eq. (7) as two GEMMs (Eq. 9), plus a vectorized normalization."""
+    """Apply Eq. (7) as two GEMMs (Eq. 9), plus a vectorized normalization.
+
+    ``ref_h`` is the conjugate-transposed reference matrix phi^H
+    (Nunocc x Ngrid); :class:`NonlocalCorrector` passes the copy it
+    keeps for its frozen reference, and ``None`` builds it here.  The
+    constant ``c0 * dvol`` scales the small overlap matrix, and psi is
+    updated and normalized in place.
+    """
     if ref_unocc.grid.shape != wf.grid.shape:
         raise ValueError("reference orbitals live on a different grid")
+    if ref_h is None:
+        ref_h = ref_unocc.as_matrix().conj().T
     dvol = wf.grid.dvol
     c0 = -1j * scissor_shift * dt / (2.0 * HBAR)
     psi = wf.as_matrix()                  # (Ngrid, Norb)
-    phi = ref_unocc.as_matrix()           # (Ngrid, Nunocc)
-    overlaps = (phi.conj().T @ psi) * dvol            # GEMM 1
-    psi_new = psi + c0 * (phi @ overlaps)             # GEMM 2
+    overlaps = ref_h @ psi                            # GEMM 1
+    overlaps *= c0 * dvol
+    psi += ref_unocc.as_matrix() @ overlaps           # GEMM 2
     if normalize:
-        nrm = np.sqrt(np.real(np.einsum("gs,gs->s", psi_new.conj(), psi_new)) * dvol)
-        nrm[nrm == 0.0] = 1.0
-        psi_new = psi_new / nrm
-    wf.psi[...] = psi_new.reshape(wf.psi.shape).astype(wf.dtype, copy=False)
+        nrm2 = np.vecdot(psi, psi, axis=0).real * dvol
+        scale = np.ones_like(nrm2)
+        np.divide(1.0, np.sqrt(nrm2), out=scale, where=nrm2 != 0.0)
+        # A real scale on the interleaved (re, im) words: no complex
+        # division.
+        re_im = psi.view(scale.dtype)
+        re_im *= np.repeat(scale, 2)
+    if not np.may_share_memory(psi, wf.psi):  # non-contiguous storage
+        wf.psi[...] = psi.reshape(wf.psi.shape)
 
 
 def nonlocal_correction_blas_blocked(  # dclint: disable=DCL006 -- timed by NonlocalCorrector.apply
@@ -193,6 +208,7 @@ class NonlocalCorrector:
     ----------
     ref_unocc:
         Unoccupied (u >= LUMO) orbitals at the start of the MD step.
+        Frozen: the ``blas`` variant caches phi^H on its first call.
     scissor_shift:
         Dsci of Eq. (8), in hartree.
     variant:
@@ -234,6 +250,8 @@ class NonlocalCorrector:
             )
         if self.orb_block < 1:
             raise ValueError("orb_block must be positive")
+        # phi^H of the frozen reference, built on the first ``blas`` call.
+        self._ref_h: Optional[np.ndarray] = None
 
     def apply(self, wf: WaveFunctionSet, dt: float, normalize: bool = True) -> None:
         """One nonlocal half-factor of Eq. (6) applied in place."""
@@ -253,8 +271,11 @@ class NonlocalCorrector:
                                if self.variant == "blas_blocked" else None),
                 )
             elif self.variant == "blas":
+                if self._ref_h is None:
+                    self._ref_h = self.ref_unocc.as_matrix().conj().T
                 nonlocal_correction_blas(
-                    wf, self.ref_unocc, self.scissor_shift, dt, normalize=normalize
+                    wf, self.ref_unocc, self.scissor_shift, dt,
+                    normalize=normalize, ref_h=self._ref_h,
                 )
             elif self.variant == "blas_blocked":
                 nonlocal_correction_blas_blocked(

@@ -42,7 +42,8 @@ class PropagatorConfig:
     dt:
         QD time step Delta_QD (a.u.; ~1e-3 fs scale, i.e. attoseconds).
     kin_variant:
-        Which ``kin_prop`` kernel to use (Algorithms 1-5); None resolves
+        Which ``kin_prop`` kernel to use (Algorithms 1-5, or the
+        per-direction ``gemm`` sweep); None resolves
         from the active :class:`~repro.tuning.profile.TuningProfile`
         (the ``lfd.kin_prop`` tunable).
     block_size:

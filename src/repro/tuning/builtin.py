@@ -5,8 +5,9 @@ probe problem sized so a full exhaustive search stays in CI-smoke
 territory while the candidates still do meaningfully different work:
 
 ===================  ==================================================
-``lfd.kin_prop``     Kinetic-propagator variant (Algorithms 1/3/4/5)
-                     plus the Algorithm-4 orbital ``block_size``.
+``lfd.kin_prop``     Kinetic-propagator variant (Algorithms 1/3/4/5
+                     and the per-direction ``gemm`` sweep) plus the
+                     Algorithm-4 orbital ``block_size``.
 ``lfd.nonlocal``     Nonlocal-correction BLAS-3 shape: naive loops vs
                      one GEMM pair (Eq. 9) vs orbital-panel GEMMs with
                      a tunable panel width.
@@ -71,7 +72,7 @@ def _kin_prop_tunable() -> Tunable:
         tunable_id="lfd.kin_prop",
         space=ParamSpace((
             Choice("variant", ("baseline", "interchange", "blocked",
-                               "collapsed")),
+                               "collapsed", "gemm")),
             Choice("block_size", (4, 8, 16, 32, 64)),
             Choice("backend", ("numpy",)),
         )),

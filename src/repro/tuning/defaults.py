@@ -4,9 +4,8 @@ This module is deliberately import-light (no numpy, no kernel imports):
 it is the one table both the :class:`~repro.tuning.profile.TuningProfile`
 fallback chain and the :mod:`~repro.tuning.builtin` tunable definitions
 read, so the untuned behaviour of the code base is defined in exactly
-one place.  The values reproduce the hard-coded choices the autotuner
-replaces (``kin_variant="collapsed"``, ``block_size=32``, serial
-executor, 2+2 red-black multigrid sweeps).
+one place: the ``gemm`` kinetic variant, ``block_size=32``, the serial
+executor and 2+2 red-black multigrid sweeps.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ TUNABLE_IDS: Tuple[str, ...] = (
 #: native kernels bit for bit.  (The ``parallel.executor`` ``backend``
 #: is the unrelated executor kind -- serial/thread/process.)
 DEFAULT_PARAMS: Mapping[str, Params] = {
-    "lfd.kin_prop": {"variant": "collapsed", "block_size": 32,
+    "lfd.kin_prop": {"variant": "gemm", "block_size": 32,
                      "backend": "numpy"},
     "lfd.nonlocal": {"variant": "blas", "orb_block": 16, "backend": "numpy"},
     "parallel.executor": {"backend": "serial", "workers": 1, "chunk_size": 1},

@@ -197,7 +197,7 @@ def golden_kernel_outputs():
     """Every kernel of the matrix on the default (NumPy) backend."""
     inp = _inputs()
     out = {}
-    for variant in ("baseline", "interchange", "collapsed"):
+    for variant in ("baseline", "interchange", "collapsed", "gemm"):
         out[f"kin_{variant}"] = _kin(inp, variant)
     out["kin_blocked_b3"] = _kin(inp, "blocked", block_size=3)
     out["kin_blocked_default"] = _kin(inp, "blocked")
@@ -275,7 +275,7 @@ class TestCrossNamespaceAgreement:
         assert diff <= XNS_ATOL, f"{key}: max|diff| = {diff:.3e} > {XNS_ATOL}"
 
     @pytest.mark.parametrize("variant", ["baseline", "interchange",
-                                         "blocked", "collapsed"])
+                                         "blocked", "collapsed", "gemm"])
     def test_kin(self, inp, strict, variant):
         self._check(_kin(inp, variant),
                     _kin(inp, variant, backend=strict), f"kin_{variant}")

@@ -72,6 +72,17 @@ class TestExcitation:
         assert after[3] == pytest.approx(before[3] + 1.0)  # LUMO filled
         assert sim.excited_population() == pytest.approx(1.0)
 
+    def test_excited_population_tolerates_electron_sum_roundoff(self):
+        """Electron sums of 6 and 6 +- 1 ulp all fill three orbitals."""
+        sim = make_sim()
+        st = sim.dc.states[0]
+        pops = []
+        for nelec in (np.nextafter(6.0, 0.0), 6.0, np.nextafter(6.0, 7.0)):
+            st.occupations[:] = [2.0, 2.0, 1.5, nelec - 5.5, 0.0]
+            assert st.occupations.sum() == nelec
+            pops.append(sim.excited_population())
+        assert pops == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
+
     def test_excite_out_of_range(self):
         sim = make_sim()
         with pytest.raises(ValueError):

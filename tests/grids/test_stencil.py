@@ -47,6 +47,18 @@ class TestPairSplit:
         m = pair_split_matrix(c)
         assert np.abs(m @ m.conj().T - np.eye(10)).max() < 1e-14
 
+    @pytest.mark.parametrize("n", [2, 4, 10])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_matrix_matches_pointwise_loop(self, n, parity):
+        """The vectorized matrix equals the point-by-point construction."""
+        c = pair_split_coefficients(n, 0.5, 0.03, parity, theta=0.41)
+        ref = np.zeros((n, n), dtype=np.complex128)
+        for i in range(n):
+            ref[i, i] = c.al
+            ref[i, (i - 1) % n] += c.bl[i]
+            ref[i, (i + 1) % n] += c.bu[i]
+        assert np.array_equal(pair_split_matrix(c), ref)
+
     def test_one_neighbor_per_point(self):
         c = pair_split_coefficients(8, 0.5, 0.02, parity=0)
         nonzero = (np.abs(c.bl) > 0).astype(int) + (np.abs(c.bu) > 0).astype(int)

@@ -5,17 +5,23 @@ import pytest
 import scipy.linalg as sla
 
 from repro.grids import Grid3D
-from repro.grids.stencil import pair_split_coefficients
+from repro.grids.stencil import (
+    pair_split_coefficients,
+    pair_split_matrix,
+    strang_passes,
+)
 from repro.lfd import WaveFunctionSet, kinetic_step
 from repro.lfd.kin_prop import (
     KIN_PROP_VARIANTS,
     kin_prop_baseline,
     kin_prop_blocked,
     kin_prop_collapsed,
+    kin_prop_gemm,
     kin_prop_interchange,
+    strang_operator,
 )
 
-VARIANTS = ["baseline", "interchange", "blocked", "collapsed"]
+VARIANTS = ["baseline", "interchange", "blocked", "collapsed", "gemm"]
 
 
 class TestCrossVariantEquality:
@@ -78,6 +84,64 @@ class TestTailBlocks:
         kinetic_step(wf_ref, 0.03, variant="collapsed")
         kinetic_step(wf_b, 0.03, variant="blocked", block_size=64)
         assert np.array_equal(wf_ref.psi, wf_b.psi)
+
+
+class TestGemmVariant:
+    """The per-direction Strang matrix applied as a mode product."""
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (8, 8, 8), (6, 8, 4)])
+    def test_matches_collapsed_after_100_steps(self, rng, shape):
+        grid = Grid3D(shape, (0.5, 0.6, 0.7))
+        wf_ref = WaveFunctionSet.random(grid, 3, rng)
+        wf_g = wf_ref.copy()
+        for step in range(100):
+            # A time-dependent theta_x exercises the operator cache.
+            theta = (0.2 + 0.01 * step, -0.1, 0.3)
+            kinetic_step(wf_ref, 0.03, theta=theta, variant="collapsed")
+            kinetic_step(wf_g, 0.03, theta=theta, variant="gemm")
+        assert wf_ref.max_abs_diff(wf_g) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 4, 14])
+    @pytest.mark.parametrize("theta", [0.0, 0.41, -2.9])
+    def test_gauge_form_matches_pass_product(self, n, theta):
+        """D (U0 + wrap terms) D^* equals E(theta) O(theta) E(theta)."""
+        a, b, c = strang_passes(n, 0.5, 0.2, theta=theta)
+        direct = (pair_split_matrix(c) @ pair_split_matrix(b)
+                  @ pair_split_matrix(a))
+        u = strang_operator(n, 0.5, 0.2, theta, 1.0, np.dtype(np.complex128))
+        assert np.abs(u - direct).max() < 1e-14
+
+    def test_changed_theta_changes_operator(self):
+        dtype = np.dtype(np.complex128)
+        u_a = strang_operator(8, 0.5, 0.05, 0.1, 1.0, dtype)
+        u_b = strang_operator(8, 0.5, 0.05, 0.2, 1.0, dtype)
+        assert np.abs(u_a - u_b).max() > 1e-3
+        assert strang_operator(8, 0.5, 0.05, 0.1, 1.0, dtype) is u_a
+
+    def test_operator_dtype_and_read_only(self):
+        u64 = strang_operator(8, 0.5, 0.05, 0.1, 1.0, np.dtype(np.complex64))
+        u128 = strang_operator(8, 0.5, 0.05, 0.1, 1.0,
+                               np.dtype(np.complex128))
+        assert u64.dtype == np.complex64
+        assert u128.dtype == np.complex128
+        assert not u128.flags.writeable
+
+    def test_non_contiguous_storage(self, grid8, rng):
+        wf_ref = WaveFunctionSet.random(grid8, 3, rng)
+        wf_g = wf_ref.copy()
+        wf_g.psi = np.asfortranarray(wf_g.psi)
+        kinetic_step(wf_ref, 0.03, theta=(0.1, 0.2, 0.3), variant="collapsed")
+        kinetic_step(wf_g, 0.03, theta=(0.1, 0.2, 0.3), variant="gemm")
+        assert wf_ref.max_abs_diff(wf_g) < 1e-14
+
+    def test_rejects_mismatched_operator(self, grid8, rng):
+        wf = WaveFunctionSet.random(grid8, 2, rng)
+        u8 = strang_operator(8, 0.5, 0.02, 0.0, 1.0, wf.dtype)
+        u6 = strang_operator(6, 0.5, 0.02, 0.0, 1.0, wf.dtype)
+        with pytest.raises(ValueError):
+            kin_prop_gemm(wf.psi, (u8, u8, u6))
+        with pytest.raises(ValueError):
+            kin_prop_gemm(wf.psi[..., 0], (u8, u8, u8))
 
 
 class TestUnitarity:
@@ -191,7 +255,7 @@ class TestKernelContracts:
 
     def test_registry_contents(self):
         assert set(KIN_PROP_VARIANTS) == {
-            "baseline", "interchange", "blocked", "collapsed",
+            "baseline", "interchange", "blocked", "collapsed", "gemm",
         }
 
     def test_blocked_bad_block_size(self, grid8, rng):

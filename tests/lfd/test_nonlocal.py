@@ -30,6 +30,39 @@ class TestAgreement:
         NonlocalCorrector(ref_unocc, 0.15, variant="blas").apply(b, 0.05)
         assert a.max_abs_diff(b) < 1e-13
 
+    def test_corrector_blas_updates_in_place(self, wf_small, ref_unocc):
+        """Repeated applies reuse the cached phi^H and write psi in place."""
+        a, b = wf_small.copy(), wf_small.copy()
+        storage = b.psi
+        corr = NonlocalCorrector(ref_unocc, 0.15, variant="blas")
+        for _ in range(3):
+            nonlocal_correction_naive(a, ref_unocc, 0.15, 0.05)
+            corr.apply(b, 0.05)
+        assert b.psi is storage
+        assert a.max_abs_diff(b) < 1e-13
+
+    def test_blas_non_contiguous_storage(self, wf_small, ref_unocc):
+        a, b = wf_small.copy(), wf_small.copy()
+        b.psi = np.asfortranarray(b.psi)
+        nonlocal_correction_naive(a, ref_unocc, 0.15, 0.05)
+        nonlocal_correction_blas(b, ref_unocc, 0.15, 0.05)
+        assert a.max_abs_diff(b) < 1e-13
+
+    def test_blas_single_precision(self, grid8, rng):
+        wf = WaveFunctionSet.random(grid8, 4, rng, dtype=np.complex64)
+        ref = WaveFunctionSet.random(grid8, 3, rng, dtype=np.complex64)
+        dp = wf.astype(np.complex128)
+        nonlocal_correction_blas(wf, ref, 0.15, 0.05)
+        nonlocal_correction_naive(dp, ref.astype(np.complex128), 0.15, 0.05)
+        assert wf.psi.dtype == np.complex64
+        assert np.abs(wf.psi - dp.psi).max() < 1e-6
+
+    def test_blas_zero_orbital_stays_zero(self, wf_small, ref_unocc):
+        wf_small.psi[..., 0] = 0.0
+        nonlocal_correction_blas(wf_small, ref_unocc, 0.15, 0.05)
+        assert np.all(wf_small.psi[..., 0] == 0.0)
+        assert np.abs(wf_small.norms()[1:] - 1.0).max() < 1e-12
+
     def test_bad_variant(self, ref_unocc):
         with pytest.raises(ValueError):
             NonlocalCorrector(ref_unocc, 0.1, variant="cublas")

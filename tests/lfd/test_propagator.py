@@ -27,7 +27,7 @@ class TestConfig:
 
     def test_defaults(self):
         cfg = PropagatorConfig()
-        assert cfg.kin_variant == "collapsed"
+        assert cfg.kin_variant == "gemm"
         assert cfg.nl_normalize
 
 

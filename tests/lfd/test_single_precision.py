@@ -22,7 +22,7 @@ def sp_setup(grid8, rng):
 
 class TestSPKernels:
     @pytest.mark.parametrize("variant", ["baseline", "interchange",
-                                         "blocked", "collapsed"])
+                                         "blocked", "collapsed", "gemm"])
     def test_kinetic_step_keeps_dtype_and_norm(self, sp_setup, variant):
         wf, _, _ = sp_setup
         kinetic_step(wf, 0.03, variant=variant)

@@ -33,7 +33,7 @@ class TestKernelSpans:
     def test_kinetic_step_span(self):
         _, wf, _ = small_wf()
         with tracing() as tr:
-            kinetic_step(wf, 0.02)
+            kinetic_step(wf, 0.02, variant="collapsed")
         (r,) = tr.records
         assert r.name == "kin_prop"
         assert r.category == "kinetic"
@@ -41,6 +41,18 @@ class TestKernelSpans:
         pts = wf.grid.npoints * wf.norb
         assert r.flops == pytest.approx(9 * 14 * pts)
         assert r.bytes_moved == pytest.approx(9 * 3 * wf.psi.itemsize * pts)
+
+    def test_kinetic_step_span_gemm(self):
+        _, wf, _ = small_wf()
+        with tracing() as tr:
+            kinetic_step(wf, 0.02, variant="gemm")
+        (r,) = tr.records
+        assert r.name == "kin_prop"
+        # One complex multiply-add (8 flops) per matrix entry used: n_d
+        # per point-orbital along each axis; five sweeps over psi.
+        pts = wf.grid.npoints * wf.norb
+        assert r.flops == pytest.approx(8 * sum(wf.grid.shape) * pts)
+        assert r.bytes_moved == pytest.approx(10 * wf.psi.itemsize * pts)
 
     def test_potential_step_span(self):
         _, wf, vloc = small_wf()

@@ -18,7 +18,7 @@ from repro.grids import Grid3D
 from repro.lfd import PropagatorConfig, QDPropagator, WaveFunctionSet
 from repro.lfd.cap import cos2_absorber
 
-KIN_VARIANTS = ("baseline", "interchange", "blocked", "collapsed")
+KIN_VARIANTS = ("baseline", "interchange", "blocked", "collapsed", "gemm")
 
 
 def make_state(norb, seed, n=6, h=0.5, vscale=0.3):

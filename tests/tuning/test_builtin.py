@@ -50,7 +50,8 @@ class TestProbePhysics:
         t = registry.get("lfd.kin_prop")
         for params in ({"variant": "baseline", "block_size": 32},
                        {"variant": "interchange", "block_size": 32},
-                       {"variant": "blocked", "block_size": 8}):
+                       {"variant": "blocked", "block_size": 8},
+                       {"variant": "collapsed", "block_size": 32}):
             assert gate_against_defaults(t, params) <= GATE_TOL, params
 
     def test_nonlocal_variants_agree_on_probe(self, registry):

@@ -84,7 +84,7 @@ class TestKernelPickup:
         from repro.lfd.propagator import PropagatorConfig
 
         cfg = PropagatorConfig()
-        assert cfg.kin_variant == "collapsed"
+        assert cfg.kin_variant == "gemm"
         assert cfg.block_size == 32
 
     def test_propagator_config_reads_profile(self):
