@@ -81,8 +81,8 @@ def emit_ensemble():
     }
     measured = {}
     for backend, workers in (("serial", 1), ("thread", 2), ("process", 2)):
-        with EnsembleRun(path, config, backend=backend,
-                         workers=workers) as run:
+        with EnsembleRun.from_config(path, config, backend=backend,
+                                     workers=workers) as run:
             run.md_step()  # warm-up round also spawns process workers
 
             def sweep(run=run):

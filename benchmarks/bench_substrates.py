@@ -125,9 +125,8 @@ def test_effective_ham_relax(benchmark):
 
 
 def test_distributed_dc_solver(benchmark):
-    """SPMD DC solve over 4 simulated ranks (result checked vs serial)."""
+    """DC solve over 4 simulated ranks (result checked vs one rank)."""
     from repro.grids import DomainDecomposition
-    from repro.parallel.distributed import DistributedDCSolver
     from repro.qxmd import GlobalDCSolver
 
     grid = Grid3D((16, 16, 16), (0.6, 0.6, 0.6))
@@ -138,7 +137,7 @@ def test_distributed_dc_solver(benchmark):
     sp = [get_species("H")] * 4
 
     def run():
-        return DistributedDCSolver(
+        return GlobalDCSolver(
             grid, dec, pos, sp, nranks=4, nscf=2, ncg=2
         ).solve()
 
@@ -165,12 +164,16 @@ MIN_MODELED_SPEEDUP = 1.3
 
 
 def _measure_backend(name: str, workers: int):
-    """Wall-time one small distributed DC solve on a given backend."""
-    import time
+    """Median/MAD wall time of a small 4-rank DC solve on one backend.
 
+    One warm-up solve (imports, caches, process-worker spawn) precedes
+    three timed repeats, so no backend is charged the cold start of
+    whichever one happens to run first.
+    """
     from repro.grids import DomainDecomposition
-    from repro.parallel.distributed import DistributedDCSolver
     from repro.parallel.executor import make_executor
+    from repro.qxmd import GlobalDCSolver
+    from repro.tuning.measure import measure_callable
 
     grid = Grid3D((12, 12, 12), (0.6, 0.6, 0.6))
     dec = DomainDecomposition(grid, (2, 2, 1), buffer_width=2)
@@ -181,15 +184,14 @@ def _measure_backend(name: str, workers: int):
     )
     sp = [get_species("H")] * 4
     with make_executor(name, workers=workers, seed=5) as ex:
-        solver = DistributedDCSolver(
-            grid, dec, pos, sp, nranks=4, norb_extra=1, nscf=2, ncg=1,
-            seed=5, executor=ex,
+        solver = GlobalDCSolver(
+            grid, dec, pos, sp, norb_extra=1, nscf=2, ncg=1,
+            seed=5, executor=ex, nranks=4,
         )
-        t0 = time.perf_counter()
-        result = solver.solve()
-        wall = time.perf_counter() - t0
+        timing, result = measure_callable(solver.solve, warmup=1, repeats=3,
+                                          label=f"dc_solve.{name}")
     assert np.isfinite(result.energy_history[-1])
-    return wall, result
+    return timing, result
 
 
 def emit_backend_scaling():
@@ -197,8 +199,8 @@ def emit_backend_scaling():
 
     Modeled entries come from the calibrated Fig. 3 strong-scaling model
     (deterministic, regression-gated at 1e-6 rtol); measured entries are
-    real wall times of one small distributed DC solve per backend at the
-    documented reduced scale (gated only as a ratio, since worker
+    median wall times (with MAD) of one small 4-rank DC solve per backend
+    at the documented reduced scale (gated only as a ratio, since worker
     processes on a single-core runner are slower than serial).
     """
     import os
@@ -221,10 +223,12 @@ def emit_backend_scaling():
     }
     measured = {}
     for name, workers in (("serial", 1), ("thread", 4), ("process", 4)):
-        wall, _ = _measure_backend(name, workers)
-        measured[name] = wall
+        timing, _ = _measure_backend(name, workers)
+        measured[name] = timing.median_s
         kernels[f"distributed_solve_{name}"] = {
-            "time_s": wall,
+            "time_s": timing.median_s,
+            "mad_s": timing.mad_s,
+            "repeats": timing.repeats,
             "kind": "measured",
             "workers": workers,
         }

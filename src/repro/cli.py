@@ -353,9 +353,9 @@ def _ensemble_body(args: argparse.Namespace) -> int:
     extras = {}
     if args.hang_timeout is not None and args.backend == "process":
         extras["hang_timeout"] = args.hang_timeout
-    run = EnsembleRun(path, config, backend=args.backend,
-                      workers=args.workers, round_size=args.round_size,
-                      **extras)
+    run = EnsembleRun.from_config(path, config, backend=args.backend,
+                                  workers=args.workers,
+                                  round_size=args.round_size, **extras)
     try:
         return _ensemble_drive(args, run)
     finally:
@@ -365,11 +365,11 @@ def _ensemble_body(args: argparse.Namespace) -> int:
 def _ensemble_drive(args: argparse.Namespace, run) -> int:
     from repro.resilience.liveness import deadline_scope
 
-    print(f"ensemble: {run.config.ntraj} trajectories x "
+    print(f"ensemble: {run.ntraj} trajectories x "
           f"{run.path.nsteps} steps, {run.path.nstates} states, "
           f"batch_size={run.batch_size} "
           f"({len(run.batches)} batches, round_size={run.round_size})")
-    p = run.config.policy
+    p = run.policy
     print(f"hop policy: rescale={p.hop_rescale}, reject={p.hop_reject}, "
           f"decoherence={p.dec_correction or 'off'}"
           + (f" (C={p.edc_parameter:g} Ha)"

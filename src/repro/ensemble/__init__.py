@@ -7,7 +7,9 @@ surface-hopping loop across a *swarm* -- stacked ``(ntraj, nstates)``
 amplitude/active arrays stepped together through the batch-size-
 invariant kernels of :mod:`repro.qxmd.sh_kernels` -- and fans batches
 out over the serial/thread/process
-:class:`~repro.parallel.executor.DomainExecutor`.
+:class:`~repro.parallel.executor.DomainExecutor`.  One
+:class:`EnsembleRun` drives both a single CLI ensemble and a coalesced
+group of served jobs (one member per job).
 
 The defining contract: every trajectory in a swarm draws from its own
 deterministic RNG stream keyed by ``(seed, trajectory index)`` (the
@@ -21,9 +23,12 @@ population trace, KS/stderr) tiers.
 from repro.ensemble.engine import (
     BatchResult,
     EnsembleConfig,
+    EnsembleMember,
     EnsembleResult,
     EnsembleRoundRecord,
     EnsembleRun,
+    Segment,
+    pack_segments,
     resolve_batch_size,
     run_ensemble,
 )
@@ -48,10 +53,12 @@ __all__ = [
     "BatchResult",
     "ClassicalPath",
     "EnsembleConfig",
+    "EnsembleMember",
     "EnsembleResult",
     "EnsembleRoundRecord",
     "EnsembleRun",
     "EnsembleStats",
+    "Segment",
     "SwarmState",
     "TrajectoryTrace",
     "compute_stats",
@@ -59,6 +66,7 @@ __all__ = [
     "ks_statistic",
     "ks_test",
     "model_path",
+    "pack_segments",
     "path_from_simulation",
     "resolve_batch_size",
     "run_ensemble",

@@ -1,20 +1,25 @@
 """The trajectory-ensemble engine: batched swarms over a DomainExecutor.
 
-The engine splits an ``ntraj`` ensemble into contiguous batches (the
-``ensemble.swarm`` tunable's ``batch_size``), runs each batch as one
-picklable executor task -- a full swarm sweep over the classical path --
-and reassembles the per-trajectory traces *in trajectory order*, so the
-resulting stacked arrays (and every statistic computed from them) are
-identical for any batch size, backend or worker count.
+An :class:`EnsembleRun` executes one or more *members* -- independent
+``(ntraj, istate, seed)`` ensembles over one shared classical path --
+stacked on a single trajectory axis.  :func:`pack_segments` cuts the
+stack into tasks of ``batch_size`` rows (the ``ensemble.swarm``
+tunable); each task is one picklable executor task -- a full swarm
+sweep over the path -- and its traces land back *in stack order*.  The
+swarm kernels are batch-size invariant and trajectory ``i`` of a member
+seeded ``s`` always draws from ``trajectory_rng(s, i)``, so every
+member's traces (and every statistic computed from them) are identical
+for any batch size, backend, worker count or set of co-members.  A
+single job is the one-member case (:meth:`EnsembleRun.from_config`);
+the serving daemon coalesces many jobs into one run.
 
-:class:`EnsembleRun` is the supervisable face of the engine: one batch
-*round* (up to ``round_size`` batches through the executor) is one
-"MD step" to the PR-1/PR-6
+:class:`EnsembleRun` is supervisable: one task *round* (up to
+``round_size`` tasks through the executor) is one "MD step" to the
 :class:`~repro.resilience.supervisor.RunSupervisor`, and
-``save_state``/``load_state`` persist the partial ensemble through the
+``save_state``/``load_state`` persist the partial run through the
 hardened checkpoint writer -- a crash mid-ensemble resumes with the
-completed batches intact and replays only the missing ones, bit-
-identically (each batch is a pure function of ``(path, seed, batch)``).
+completed tasks intact and replays only the missing ones, bit-
+identically (each task is a pure function of its segments).
 """
 
 from __future__ import annotations
@@ -23,20 +28,23 @@ import json
 import math
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.artifacts.fingerprint import config_hash
 from repro.ensemble.path import ClassicalPath
 from repro.ensemble.stats import EnsembleStats, compute_stats
 from repro.ensemble.swarm import SwarmState, step_swarm, trajectory_rng
 from repro.obs import trace_span
-from repro.parallel.executor import DomainExecutor, chunk_slices, make_executor
+from repro.parallel.backends.serial import SerialBackend
+from repro.parallel.executor import DomainExecutor, make_executor
 from repro.qxmd.sh_kernels import HopPolicy
 from repro.resilience.checkpointing import CheckpointCorruptError
 
-#: Version tag of the partial-ensemble checkpoint schema.
-ENSEMBLE_CKPT_VERSION = 1
+#: Version tag of the partial-ensemble checkpoint schema; it is part of
+#: the fingerprint, so checkpoints of any other version do not resume.
+ENSEMBLE_CKPT_VERSION = 2
 
 
 @dataclass
@@ -76,18 +84,91 @@ class EnsembleConfig:
             self.array_backend = get_backend(self.array_backend).name
 
 
-def resolve_batch_size(config: EnsembleConfig) -> int:
-    """The effective batch size: explicit config or the tuning profile."""
-    if config.batch_size is not None:
-        return config.batch_size
+def resolve_batch_size(batch_size: Optional[int]) -> int:
+    """The effective batch size: explicit value or the tuning profile."""
+    if batch_size is not None:
+        return int(batch_size)
     from repro.tuning.profile import get_active_profile
 
     return int(get_active_profile().params_for("ensemble.swarm")["batch_size"])
 
 
 @dataclass(frozen=True)
+class EnsembleMember:
+    """One job's slice of a run: its width, initial state and seed."""
+
+    ntraj: int
+    istate: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.ntraj < 1:
+            raise ValueError("ntraj must be positive")
+        if self.istate < 0:
+            raise ValueError("istate must be non-negative")
+
+
+@dataclass(frozen=True)
+class Segment:
+    """A contiguous run of one member's trajectories inside a task.
+
+    ``lo``/``hi`` index the run's stacked (global) trajectory axis;
+    ``local_lo`` is the member-local index of row ``lo``, which seeds
+    the per-trajectory RNG stream -- the stream depends on the
+    trajectory's identity *within its member*, never on its placement
+    in the stack.
+    """
+
+    seed: int
+    istate: int
+    lo: int
+    hi: int
+    local_lo: int
+
+
+def pack_segments(
+    members: Sequence[EnsembleMember], batch_size: int
+) -> List[Tuple[Segment, ...]]:
+    """Greedily pack every member's trajectories into stacked tasks.
+
+    Members are walked in order; each task accumulates segments until it
+    holds ``batch_size`` trajectory rows, so small members share tasks
+    while a member wider than ``batch_size`` splits across several.  The
+    tasks tile the stack contiguously, and for one member they are
+    exactly ``chunk_slices(ntraj, batch_size)``.
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    tasks: List[Tuple[Segment, ...]] = []
+    current: List[Segment] = []
+    room = batch_size
+    offset = 0
+    for member in members:
+        local = 0
+        while local < member.ntraj:
+            width = min(room, member.ntraj - local)
+            current.append(Segment(
+                seed=member.seed,
+                istate=member.istate,
+                lo=offset + local,
+                hi=offset + local + width,
+                local_lo=local,
+            ))
+            local += width
+            room -= width
+            if room == 0:
+                tasks.append(tuple(current))
+                current = []
+                room = batch_size
+        offset += member.ntraj
+    if current:
+        tasks.append(tuple(current))
+    return tasks
+
+
+@dataclass(frozen=True)
 class BatchResult:
-    """Everything one batch task hands back (fresh arrays, picklable)."""
+    """Everything one task hands back (fresh arrays, picklable)."""
 
     lo: int
     hi: int
@@ -99,26 +180,36 @@ class BatchResult:
     ke_factor: np.ndarray         # (hi-lo,)
 
 
-def _swarm_batch_task(args: Tuple[Any, ...]) -> BatchResult:
-    """Executor task: sweep one batch of trajectories over the full path.
+def _swarm_task(args: Tuple[Any, ...]) -> BatchResult:
+    """Executor task: sweep one stack of segments over the full path.
 
-    ``args`` is ``(energies, nac, kinetic, dt, lo, hi, seed, istate,
-    substeps, policy, array_backend)``.  Self-contained and
-    placement-independent: the RNG streams come from ``(seed, trajectory
-    index)`` carried in the item, never from worker state, so any
-    backend, chunking or resume produces identical results.
-    ``array_backend`` is a plain substrate name (or ``None``), resolved
-    inside the worker.  Inputs may be read-only shared-memory views;
-    they are only read, and every returned array is fresh.
+    ``args`` is ``(energies, nac, kinetic, dt, segments, substeps,
+    policy, array_backend)`` with ``segments`` a contiguous tuple of
+    :class:`Segment`.  Self-contained and placement-independent: the RNG
+    streams come from ``(member seed, member-local index)`` carried in
+    the segments, never from worker state, and rows of different members
+    share the stacked kernel calls while staying numerically
+    independent.  ``array_backend`` is a plain substrate name (or
+    ``None``), resolved inside the worker.  Inputs may be read-only
+    shared-memory views; they are only read, and every returned array
+    is fresh.
     """
-    (energies, nac, kinetic, dt, lo, hi, seed, istate, substeps,
-     policy, array_backend) = args
+    (energies, nac, kinetic, dt, segments, substeps, policy,
+     array_backend) = args
     nsteps, nstates = energies.shape
-    nb = hi - lo
-    swarm = SwarmState.on_state(nb, nstates, istate)
-    rngs = [trajectory_rng(seed, lo + t) for t in range(nb)]
-    populations = np.empty((nsteps, nb, nstates), dtype=np.float64)
-    actives = np.empty((nsteps, nb), dtype=np.int64)
+    lo, hi = segments[0].lo, segments[-1].hi
+    amps = np.zeros((hi - lo, nstates), dtype=np.complex128)
+    active = np.empty(hi - lo, dtype=np.int64)
+    rngs = []
+    for seg in segments:
+        rows = slice(seg.lo - lo, seg.hi - lo)
+        amps[rows, seg.istate] = 1.0
+        active[rows] = seg.istate
+        rngs.extend(trajectory_rng(seg.seed, seg.local_lo + t)
+                    for t in range(seg.hi - seg.lo))
+    swarm = SwarmState(amplitudes=amps, active=active)
+    populations = np.empty((nsteps, hi - lo, nstates), dtype=np.float64)
+    actives = np.empty((nsteps, hi - lo), dtype=np.int64)
     for s in range(nsteps):
         xi = np.array([rng.random() for rng in rngs])
         assert swarm.ke_factor is not None
@@ -153,7 +244,7 @@ class EnsembleRoundRecord:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """A completed ensemble: stacked traces plus summary statistics."""
+    """One member's completed ensemble: traces plus summary statistics."""
 
     stats: EnsembleStats
     populations: np.ndarray   # (nsteps, ntraj, nstates)
@@ -165,56 +256,91 @@ class EnsembleResult:
 
 
 class EnsembleRun:
-    """Supervisable, checkpointable execution of one trajectory ensemble.
+    """Supervisable, checkpointable execution of stacked ensembles.
 
     Satisfies the supervisor's
     :class:`~repro.resilience.supervisor.SupervisableRun` protocol: one
-    ``md_step()`` runs up to ``round_size`` pending batches through the
-    executor; ``save_state``/``load_state`` persist the partial
-    ensemble (completed-batch traces + done mask) so the hardened
-    checkpoint writer and ``--restart`` machinery work unchanged.
+    ``md_step()`` runs up to ``round_size`` pending tasks through the
+    executor; ``save_state``/``load_state`` persist the partial run
+    (completed-task traces + done mask) so the hardened checkpoint
+    writer and ``--restart`` machinery work unchanged.  ``executor=None``
+    runs the tasks on a serial backend; :meth:`close` shuts the executor
+    down.
     """
 
     def __init__(
         self,
         path: ClassicalPath,
-        config: Optional[EnsembleConfig] = None,
-        backend: Optional[str] = "serial",
-        workers: Optional[int] = 1,
-        round_size: Optional[int] = None,
+        members: Sequence[EnsembleMember],
+        policy: HopPolicy,
+        substeps: int = 20,
+        array_backend: Optional[str] = None,
+        batch_size: Optional[int] = None,
+        round_size: int = 1,
         executor: Optional[DomainExecutor] = None,
-        **executor_extras: Any,
     ) -> None:
-        self.path = path
-        self.config = config if config is not None else EnsembleConfig()
-        self.batch_size = resolve_batch_size(self.config)
-        self.istate = (self.config.istate if self.config.istate is not None
-                       else path.nstates - 1)
-        if self.istate >= path.nstates:
+        if not members:
+            raise ValueError("an ensemble run needs at least one member")
+        if any(m.istate >= path.nstates for m in members):
             raise ValueError("istate outside the path's state range")
-        self.batches = chunk_slices(self.config.ntraj, self.batch_size)
-        self.round_size = (round_size if round_size is not None
-                           else max(1, workers if workers is not None else 1))
-        if self.round_size < 1:
+        if round_size < 1:
             raise ValueError("round_size must be positive")
-        self._executor = executor
-        self._backend = backend
-        self._workers = workers
-        self._executor_extras = executor_extras
-        ntraj, nsteps, nstates = (self.config.ntraj, path.nsteps,
-                                  path.nstates)
-        self.populations = np.zeros((nsteps, ntraj, nstates))
-        self.actives = np.zeros((nsteps, ntraj), dtype=np.int64)
-        self.hops = np.zeros(ntraj, dtype=np.int64)
-        self.final_amplitudes = np.zeros((ntraj, nstates),
+        self.path = path
+        self.members = tuple(members)
+        self.policy = policy
+        self.substeps = int(substeps)
+        self.array_backend = array_backend
+        self.batch_size = resolve_batch_size(batch_size)
+        self.batches = pack_segments(self.members, self.batch_size)
+        self.round_size = int(round_size)
+        self._executor = executor if executor is not None else SerialBackend()
+        self.ntraj = sum(m.ntraj for m in self.members)
+        nsteps, nstates = path.nsteps, path.nstates
+        self.populations = np.zeros((nsteps, self.ntraj, nstates))
+        self.actives = np.zeros((nsteps, self.ntraj), dtype=np.int64)
+        self.hops = np.zeros(self.ntraj, dtype=np.int64)
+        self.final_amplitudes = np.zeros((self.ntraj, nstates),
                                          dtype=np.complex128)
-        self.final_active = np.zeros(ntraj, dtype=np.int64)
-        self.ke_factor = np.ones(ntraj, dtype=np.float64)
+        self.final_active = np.zeros(self.ntraj, dtype=np.int64)
+        self.ke_factor = np.ones(self.ntraj, dtype=np.float64)
         self.done = np.zeros(len(self.batches), dtype=bool)
+        # SupervisableRun surface.
         self.step_count = 0
         self.time = 0.0
         self.history: List[EnsembleRoundRecord] = []
         self.health_guard: Any = None
+        self.config: Any = None
+
+    @classmethod
+    def from_config(
+        cls,
+        path: ClassicalPath,
+        config: Optional[EnsembleConfig] = None,
+        backend: Optional[str] = "serial",
+        workers: Optional[int] = 1,
+        round_size: Optional[int] = None,
+        **executor_extras: Any,
+    ) -> "EnsembleRun":
+        """A one-member run of ``config`` on a fresh ``backend`` executor.
+
+        ``round_size`` defaults to one task per worker.
+        """
+        config = config if config is not None else EnsembleConfig()
+        istate = (config.istate if config.istate is not None
+                  else path.nstates - 1)
+        if round_size is None:
+            round_size = max(1, workers if workers is not None else 1)
+        return cls(
+            path,
+            [EnsembleMember(config.ntraj, istate, config.seed)],
+            config.policy,
+            substeps=config.substeps,
+            array_backend=config.array_backend,
+            batch_size=config.batch_size,
+            round_size=round_size,
+            executor=make_executor(backend, workers=workers,
+                                   seed=config.seed, **executor_extras),
+        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -223,22 +349,13 @@ class EnsembleRun:
 
     @property
     def rounds_remaining(self) -> int:
-        """Supervisable steps needed to finish the pending batches."""
+        """Supervisable steps needed to finish the pending tasks."""
         pending = int(np.count_nonzero(~self.done))
         return math.ceil(pending / self.round_size)
 
-    def _get_executor(self) -> DomainExecutor:
-        if self._executor is None:
-            self._executor = make_executor(
-                self._backend, workers=self._workers,
-                seed=self.config.seed, **self._executor_extras,
-            )
-        return self._executor
-
     def close(self) -> None:
         """Shut the executor down (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown()
+        self._executor.shutdown()
 
     def __enter__(self) -> "EnsembleRun":
         return self
@@ -248,11 +365,9 @@ class EnsembleRun:
 
     # ------------------------------------------------------------------ #
     def _batch_item(self, index: int) -> Tuple[Any, ...]:
-        lo, hi = self.batches[index]
         return (self.path.energies, self.path.nac, self.path.kinetic,
-                self.path.dt, lo, hi, self.config.seed, self.istate,
-                self.config.substeps, self.config.policy,
-                self.config.array_backend)
+                self.path.dt, self.batches[index], self.substeps,
+                self.policy, self.array_backend)
 
     def _apply(self, index: int, res: BatchResult) -> None:
         lo, hi = res.lo, res.hi
@@ -265,15 +380,15 @@ class EnsembleRun:
         self.done[index] = True
 
     def md_step(self) -> EnsembleRoundRecord:
-        """Run one round of pending batches (the supervisable unit)."""
+        """Run one round of pending tasks (the supervisable unit)."""
         todo = np.nonzero(~self.done)[0][: self.round_size]
         if todo.size:
             items = [self._batch_item(int(i)) for i in todo]
             with trace_span("ensemble.round", "md",
                             round=self.step_count, batches=len(items),
-                            ntraj=self.config.ntraj):
-                results = self._get_executor().map(
-                    _swarm_batch_task, items, label="ensemble.batches"
+                            jobs=len(self.members), ntraj=self.ntraj):
+                results = self._executor.map(
+                    _swarm_task, items, label="ensemble.batches"
                 )
             for i, res in zip(todo, results):
                 self._apply(int(i), res)
@@ -289,29 +404,50 @@ class EnsembleRun:
         self.history.append(record)
         return record
 
-    def run(self) -> EnsembleResult:
-        """Run every pending round; returns the completed ensemble."""
+    def run(self) -> List[EnsembleResult]:
+        """Run every pending round; returns the per-member results."""
         while not self.complete:
             self.md_step()
-        return self.result()
+        return self.results()
 
-    def result(self) -> EnsembleResult:
-        """Assemble the final :class:`EnsembleResult`; all batches must
-        be done (raises ``RuntimeError`` on a partial ensemble)."""
+    def results(self) -> List[EnsembleResult]:
+        """Each member's :class:`EnsembleResult`, in member order.
+
+        All tasks must be done (raises ``RuntimeError`` on a partial
+        run).  Traces are views of the run's stacked arrays, made
+        contiguous where a member shares the stack with others.
+        """
         if not self.complete:
             raise RuntimeError(
                 f"ensemble incomplete: {int(np.count_nonzero(self.done))}"
                 f"/{len(self.batches)} batches done"
             )
-        return EnsembleResult(
-            stats=compute_stats(self.populations, self.actives),
-            populations=self.populations,
-            actives=self.actives,
-            hops=self.hops,
-            final_amplitudes=self.final_amplitudes,
-            final_active=self.final_active,
-            ke_factor=self.ke_factor,
-        )
+        out: List[EnsembleResult] = []
+        offset = 0
+        for m in self.members:
+            sl = slice(offset, offset + m.ntraj)
+            pops = np.ascontiguousarray(self.populations[:, sl, :])
+            acts = np.ascontiguousarray(self.actives[:, sl])
+            out.append(EnsembleResult(
+                stats=compute_stats(pops, acts),
+                populations=pops,
+                actives=acts,
+                hops=self.hops[sl],
+                final_amplitudes=self.final_amplitudes[sl],
+                final_active=self.final_active[sl],
+                ke_factor=self.ke_factor[sl],
+            ))
+            offset += m.ntraj
+        return out
+
+    def result(self) -> EnsembleResult:
+        """The result of a one-member run (see :meth:`results`)."""
+        if len(self.members) != 1:
+            raise ValueError(
+                f"result() needs a one-member run; this one has "
+                f"{len(self.members)} members (use results())"
+            )
+        return self.results()[0]
 
     # ------------------------------------------------------------------ #
     def _fingerprint(self) -> str:
@@ -323,15 +459,11 @@ class EnsembleRun:
         artifacts -- so "which run wrote this checkpoint" and "which
         config produced this artifact" are answered by one scheme.
         """
-        from repro.artifacts.fingerprint import config_hash
-
-        p = self.config.policy
+        p = self.policy
         return config_hash({
             "version": ENSEMBLE_CKPT_VERSION,
-            "ntraj": self.config.ntraj,
-            "seed": self.config.seed,
-            "substeps": self.config.substeps,
-            "istate": self.istate,
+            "members": [[m.ntraj, m.istate, m.seed] for m in self.members],
+            "substeps": self.substeps,
             "batch_size": self.batch_size,
             "nsteps": self.path.nsteps,
             "nstates": self.path.nstates,
@@ -340,13 +472,13 @@ class EnsembleRun:
                        p.dec_correction or "", p.edc_parameter],
             # Cross-substrate trajectories agree only to ~1e-10, so a
             # resume on a different substrate must be rejected outright.
-            "array_backend": self.config.array_backend or "numpy",
+            "array_backend": self.array_backend or "numpy",
         })
 
     def save_state(self, path: Union[str, pathlib.Path]) -> None:
-        """Archive the partial ensemble (checkpoint-writer callback)."""
-        meta = {"fingerprint": self._fingerprint()}
-        meta["step_count"] = self.step_count
+        """Archive the partial run (checkpoint-writer callback)."""
+        meta = {"fingerprint": self._fingerprint(),
+                "step_count": self.step_count}
         np.savez(
             path,
             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
@@ -360,7 +492,7 @@ class EnsembleRun:
         )
 
     def load_state(self, path: Union[str, pathlib.Path]) -> None:
-        """Restore a partial ensemble written by :meth:`save_state`.
+        """Restore a partial run written by :meth:`save_state`.
 
         Two-phase: every array is read and validated against this run's
         configuration fingerprint before any state is touched.  A
@@ -409,6 +541,8 @@ def run_ensemble(
     **executor_extras: Any,
 ) -> EnsembleResult:
     """Convenience wrapper: run a full ensemble and return its result."""
-    with EnsembleRun(path, config, backend=backend, workers=workers,
-                     round_size=round_size, **executor_extras) as run:
-        return run.run()
+    with EnsembleRun.from_config(path, config, backend=backend,
+                                 workers=workers, round_size=round_size,
+                                 **executor_extras) as run:
+        run.run()
+        return run.result()

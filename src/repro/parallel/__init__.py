@@ -30,7 +30,6 @@ from repro.parallel.network import (
 from repro.parallel.cluster import PolarisModel
 from repro.parallel.timeline import RankTimeline
 from repro.parallel.decomposition import SpaceBandDecomposition
-from repro.parallel.distributed import DistributedDCSolver
 from repro.parallel.scaling import (
     DCMeshStepModel,
     ScalingPoint,
@@ -60,7 +59,6 @@ __all__ = [
     "PolarisModel",
     "RankTimeline",
     "SpaceBandDecomposition",
-    "DistributedDCSolver",
     "DCMeshStepModel",
     "ScalingPoint",
     "weak_scaling_study",

@@ -3,11 +3,14 @@
 :class:`DomainSolver` solves one DC domain's Kohn-Sham problem on its
 core+buffer grid with the globally informed potential as the LDC
 (density-adaptive) boundary condition.  :class:`GlobalDCSolver` runs the
-global-local SCF iteration: the global electrostatic potential is solved
-once per cycle with the O(N) multigrid on the *global* grid (globally
-sparse), each domain then refines its orbitals against the gathered
-local potential (locally dense), and the domain core densities recombine
-exactly (partition of unity) into the next global density.
+global-local SCF iteration (the QXMD loop of Fig. 1b) SPMD-style over
+``nranks`` simulated MPI ranks: the global electrostatic potential is
+solved once per cycle with the O(N) multigrid on the *global* grid
+(globally sparse) and broadcast, each rank refines the orbitals of its
+block of domains against the gathered local potential (locally dense),
+and the rank-partial core densities recombine exactly (partition of
+unity) through one pinned-order ``allreduce`` into the next global
+density.  A serial run is the one-rank case of the same loop.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ from repro.lfd.observables import density
 from repro.lfd.wavefunction import WaveFunctionSet
 from repro.multigrid.poisson import PoissonMultigrid
 from repro.obs import trace_span
+from repro.parallel.backends.serial import SerialBackend
+from repro.parallel.comm import SimComm
+from repro.parallel.decomposition import SpaceBandDecomposition
+from repro.parallel.network import NetworkSpec
+from repro.parallel.timeline import RankTimeline
 from repro.pseudo.elements import PseudoSpecies
 from repro.pseudo.kb import KBProjectorSet
 from repro.pseudo.local import core_repulsion_potential, ionic_density
@@ -122,7 +130,7 @@ class DCResult:
 
 
 class GlobalDCSolver:
-    """Global-local SCF across all DC domains.
+    """Global-local SCF across all DC domains, over simulated ranks.
 
     Parameters
     ----------
@@ -137,8 +145,20 @@ class GlobalDCSolver:
         by surface hopping and the scissor correction).
     executor:
         A :class:`repro.parallel.executor.DomainExecutor` running the
-        per-domain local refinements (None means serial).  All backends
-        produce the same physics; serial and thread are bit-identical.
+        per-(rank, domain) local refinements (None means serial).  All
+        backends produce the same physics; serial and thread are
+        bit-identical.  ``SimComm`` stays the cost model and collective
+        semantics; the executor is the physical compute substrate.
+    nranks:
+        World size of the :class:`~repro.parallel.comm.SimComm` the
+        domains are block-distributed over (no more ranks than
+        domains).  Collectives are exact and the per-domain seeds are
+        rank-independent, so every rank count gives the same densities,
+        potentials and orbitals as one rank.
+    network, timeline:
+        Optional network model and per-rank timeline that the
+        collectives charge modeled communication time to; the timeline
+        also records one barrier per SCF cycle.
     """
 
     def __init__(
@@ -154,6 +174,9 @@ class GlobalDCSolver:
         include_nonlocal: bool = True,
         seed: int = 1234,
         executor=None,
+        nranks: int = 1,
+        network: Optional[NetworkSpec] = None,
+        timeline: Optional[RankTimeline] = None,
     ) -> None:
         self.grid = grid
         self.decomposition = decomposition
@@ -169,17 +192,13 @@ class GlobalDCSolver:
         self.seed = seed
         self.poisson = PoissonMultigrid(grid)
         self.owners = decomposition.assign_atoms(self.positions)
-        self.executor = executor
-
-    def _executor(self):
-        """The configured executor, defaulting to a fresh serial backend."""
-        if self.executor is None:
-            # Imported lazily: repro.parallel's package __init__ imports
-            # this module back through DistributedDCSolver.
-            from repro.parallel.backends.serial import SerialBackend
-
-            self.executor = SerialBackend(seed=self.seed)
-        return self.executor
+        self.executor = (executor if executor is not None
+                         else SerialBackend(seed=seed))
+        self.comm = SimComm(nranks, network=network, timeline=timeline)
+        self.layout = SpaceBandDecomposition(
+            ndomains=len(decomposition), nbands=1, p_space=nranks, p_band=1
+        )
+        self.timeline = timeline
 
     def _domain_setup(self, dom: Domain, atom_idx: List[int]) -> DomainState:
         """Build one domain's orbitals, occupations and projectors."""
@@ -228,6 +247,13 @@ class GlobalDCSolver:
             for st, warm in zip(states, warm_wfs):
                 if warm is not None and warm.norb == st.wf.norb:
                     st.wf.psi[...] = warm.psi
+        # Every rank owns a contiguous block of domains.
+        nranks = self.comm.nranks
+        owned = [
+            (r, states[alpha])
+            for r in range(nranks)
+            for alpha in self.layout.assignment(r).domains
+        ]
         # Neutral-atom guess for the global electron density.
         rho_e = rho_ion * (nelec_total / (float(rho_ion.sum()) * grid.dvol))
         v_global = grid.zeros()
@@ -240,7 +266,8 @@ class GlobalDCSolver:
                 )
             with trace_span("scf.cycle", "scf", cycle=it + 1,
                             ndomains=len(states)):
-                # --- global phase: one O(N) multigrid solve on the full grid.
+                # --- global phase: one O(N) multigrid solve on the full
+                #     grid (the root rank), broadcast to every rank.
                 phi = hartree_potential(
                     rho_ion - rho_e, grid, method="multigrid", solver=self.poisson
                 )
@@ -249,33 +276,39 @@ class GlobalDCSolver:
                 v_global = (
                     v_new if it == 0 else (1.0 - self.mixing) * v_global + self.mixing * v_new
                 )
-                # --- local phase: every domain refines against the gathered
-                #     (LDC boundary-informed) potential.
+                v_rank = self.comm.bcast(v_global, root=0)
+                # --- local phase: every rank refines its domains against
+                #     the gathered (LDC boundary-informed) potential; the
+                #     (rank, domain) tasks run on the executor.
                 items = [
                     (st.domain, st.wf.psi, st.occupations, st.kb,
-                     v_global, self.ncg, self.seed)
-                    for st in states
+                     v_rank[r], self.ncg, self.seed)
+                    for r, st in owned
                 ]
-                results = self._executor().map(
+                results = self.executor.map(
                     _domain_refine_task, items, label="scf.domains"
                 )
-                local_rhos = []
-                for st, (psi, eig, vloc, rho) in zip(states, results):
+                partials = [grid.zeros() for _ in range(nranks)]
+                band_sums = [0.0] * nranks
+                for (r, st), (psi, eig, vloc, rho) in zip(owned, results):
                     if psi is not st.wf.psi:
                         st.wf.psi[...] = psi
                     st.eigenvalues = eig
                     st.vloc = vloc
-                    local_rhos.append(rho)
-                # --- recombine: disjoint cores tile the global density.
-                rho_new = self.decomposition.recombine(local_rhos)
+                    st.domain.add_core(rho, partials[r])
+                    band_sums[r] += float(np.dot(st.occupations, eig))
+                # --- recombine: disjoint cores tile the global density,
+                #     and the rank partials fold in the pinned allreduce
+                #     order.
+                rho_new = self.comm.allreduce(partials)[0]
                 # Renormalize to the exact electron count (buffer truncation).
                 total = float(rho_new.sum()) * grid.dvol
                 if total > 0:
                     rho_new *= nelec_total / total
                 rho_e = rho_new
-                history.append(
-                    float(sum(np.dot(s.occupations, s.eigenvalues) for s in states))
-                )
+                history.append(float(self.comm.allreduce(band_sums)[0]))
+            if self.timeline is not None:
+                self.timeline.barrier()
         return DCResult(
             states=states,
             rho_global=rho_e,

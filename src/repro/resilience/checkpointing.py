@@ -86,11 +86,6 @@ def _sha256(path: pathlib.Path) -> str:
     return h.hexdigest()
 
 
-def _atomic_write_text(path: pathlib.Path, text: str) -> None:
-    """Sidecar writes ride the fsync'd atomic writer of ``atomicio``."""
-    atomic_write_text(path, text)
-
-
 def checkpoint_path(directory: Union[str, pathlib.Path], step: int) -> pathlib.Path:
     """Canonical archive path of the generation written at MD step ``step``."""
     return pathlib.Path(directory) / f"ckpt-{step:08d}.npz"
@@ -160,7 +155,7 @@ def write_checkpoint(
         tmp.unlink(missing_ok=True)
         raise
     fsync_directory(directory)
-    _atomic_write_text(sidecar_path(final), json.dumps(meta, indent=1))
+    atomic_write_text(sidecar_path(final), json.dumps(meta, indent=1))
 
     spec = fault_point("checkpoint.torn_write")
     if spec is not None:

@@ -1,427 +1,39 @@
-"""Cross-request coalescing: many jobs, one batched execution.
+"""Cross-request coalescing: many jobs, one supervised ensemble run.
 
-The PR-7 swarm kernels are *batch-size invariant*: each trajectory row
+The swarm kernels are *batch-size invariant*: each trajectory row
 evolves identically no matter which rows share its stacked arrays, and
 its RNG stream is a pure function of ``(job seed, trajectory index)``.
-That guarantee is what makes cross-*request* coalescing free: this
-module stacks the trajectory ranges of several queued ensemble jobs into
-shared swarm tasks, so four 8-trajectory requests cost one 32-wide
-batched sweep instead of four narrow ones -- and every job's results are
-bit-identical to running it alone.
+That is what makes cross-*request* coalescing free: the daemon turns
+each queued ensemble job into one
+:class:`~repro.ensemble.engine.EnsembleMember` of a single
+:class:`~repro.ensemble.engine.EnsembleRun`, so four 8-trajectory
+requests cost one 32-wide batched sweep instead of four narrow ones --
+and every job's results are bit-identical to running it alone.
 
-:class:`EnsembleGroupRun` is the supervisable face of a coalesced group
-(the serve-layer sibling of :class:`repro.ensemble.engine.EnsembleRun`):
-one round of stacked tasks is one "MD step" to the
-:class:`~repro.resilience.supervisor.RunSupervisor`, and
-``save_state``/``load_state`` persist the partial group through the
-hardened checkpoint writer, fingerprinted with the shared
-:func:`~repro.artifacts.fingerprint.config_hash` scheme.
+This module holds the serve-side driver of such a group: the run
+supervisor with one checkpointed round per segment.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import pathlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Union
 
-import numpy as np
-
-from repro.artifacts import config_hash
-from repro.ensemble.engine import resolve_batch_size
-from repro.ensemble.path import ClassicalPath
-from repro.ensemble.stats import compute_stats
-from repro.ensemble.swarm import SwarmState, step_swarm, trajectory_rng
-from repro.obs import trace_span
-from repro.parallel.executor import DomainExecutor
-from repro.qxmd.sh_kernels import HopPolicy
-from repro.resilience.checkpointing import CheckpointCorruptError
-
-#: Version tag of the partial-group checkpoint schema.
-GROUP_CKPT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class EnsembleMember:
-    """One job's slice of a coalesced group."""
-
-    ntraj: int
-    istate: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.ntraj < 1:
-            raise ValueError("ntraj must be positive")
-        if self.istate < 0:
-            raise ValueError("istate must be non-negative")
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A contiguous run of one member's trajectories inside a task.
-
-    ``lo``/``hi`` index the group's stacked (global) trajectory axis;
-    ``local_lo`` is the member-local index of row ``lo``, which seeds
-    the per-trajectory RNG stream -- the stream depends on the
-    trajectory's identity *within its job*, never on its placement in
-    the coalesced stack.
-    """
-
-    seed: int
-    istate: int
-    lo: int
-    hi: int
-    local_lo: int
-
-
-@dataclass(frozen=True)
-class SegmentResult:
-    """Fresh per-segment traces handed back by a stacked task."""
-
-    lo: int
-    hi: int
-    populations: np.ndarray       # (nsteps, hi-lo, nstates)
-    actives: np.ndarray           # (nsteps, hi-lo)
-    hops: np.ndarray              # (hi-lo,)
-    final_amplitudes: np.ndarray  # (hi-lo, nstates)
-    final_active: np.ndarray      # (hi-lo,)
-    ke_factor: np.ndarray         # (hi-lo,)
-
-
-def _stacked_swarm_task(args: Tuple[Any, ...]) -> List[SegmentResult]:
-    """Executor task: sweep one stack of cross-job segments.
-
-    ``args`` is ``(energies, nac, kinetic, dt, segments, substeps,
-    policy, array_backend)`` with ``segments`` a tuple of
-    :class:`Segment`.  Rows belonging to different jobs share the
-    stacked kernel calls but are numerically independent -- the same
-    per-row invariance the ensemble engine's equivalence harness proves.
-    """
-    (energies, nac, kinetic, dt, segments, substeps, policy,
-     array_backend) = args
-    nsteps, nstates = energies.shape
-    nb = sum(seg.hi - seg.lo for seg in segments)
-    amps = np.zeros((nb, nstates), dtype=np.complex128)
-    active = np.empty(nb, dtype=np.int64)
-    rngs = []
-    row = 0
-    for seg in segments:
-        width = seg.hi - seg.lo
-        amps[row:row + width, seg.istate] = 1.0
-        active[row:row + width] = seg.istate
-        for t in range(width):
-            rngs.append(trajectory_rng(seg.seed, seg.local_lo + t))
-        row += width
-    swarm = SwarmState(amplitudes=amps, active=active)
-    populations = np.empty((nsteps, nb, nstates), dtype=np.float64)
-    actives = np.empty((nsteps, nb), dtype=np.int64)
-    for s in range(nsteps):
-        xi = np.array([rng.random() for rng in rngs])
-        assert swarm.ke_factor is not None
-        ke = kinetic[s] * swarm.ke_factor
-        step_swarm(swarm, energies[s], nac[s], dt, ke, xi, policy,
-                   substeps, backend=array_backend)
-        populations[s] = swarm.populations
-        actives[s] = swarm.active
-    assert swarm.hop_counts is not None and swarm.ke_factor is not None
-    out: List[SegmentResult] = []
-    row = 0
-    for seg in segments:
-        width = seg.hi - seg.lo
-        sl = slice(row, row + width)
-        out.append(SegmentResult(
-            lo=seg.lo,
-            hi=seg.hi,
-            populations=populations[:, sl, :].copy(),
-            actives=actives[:, sl].copy(),
-            hops=swarm.hop_counts[sl].copy(),
-            final_amplitudes=swarm.amplitudes[sl].copy(),
-            final_active=swarm.active[sl].copy(),
-            ke_factor=swarm.ke_factor[sl].copy(),
-        ))
-        row += width
-    return out
-
-
-def pack_segments(
-    members: Sequence[EnsembleMember], batch_size: int
-) -> List[Tuple[Segment, ...]]:
-    """Greedily pack every member's trajectories into stacked tasks.
-
-    Members are walked in submission order; each task accumulates
-    segments until it holds ``batch_size`` trajectory rows.  Small jobs
-    therefore share tasks (the coalescing win) while a job wider than
-    ``batch_size`` splits across several, exactly like the single-job
-    engine's chunking.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    tasks: List[Tuple[Segment, ...]] = []
-    current: List[Segment] = []
-    room = batch_size
-    offset = 0
-    for member in members:
-        local = 0
-        while local < member.ntraj:
-            width = min(room, member.ntraj - local)
-            current.append(Segment(
-                seed=member.seed,
-                istate=member.istate,
-                lo=offset + local,
-                hi=offset + local + width,
-                local_lo=local,
-            ))
-            local += width
-            room -= width
-            if room == 0:
-                tasks.append(tuple(current))
-                current = []
-                room = batch_size
-        offset += member.ntraj
-    if current:
-        tasks.append(tuple(current))
-    return tasks
-
-
-@dataclass(frozen=True)
-class GroupRoundRecord:
-    """History record of one supervisable round (``.step`` contract)."""
-
-    step: int
-    tasks_run: int
-    tasks_done: int
-    tasks_total: int
-
-
-@dataclass(frozen=True)
-class MemberResult:
-    """One member's completed slice, reassembled in trajectory order."""
-
-    stats: Any
-    populations: np.ndarray
-    actives: np.ndarray
-    hops: np.ndarray
-    final_amplitudes: np.ndarray
-    final_active: np.ndarray
-    ke_factor: np.ndarray
-
-
-class EnsembleGroupRun:
-    """Supervisable, checkpointable execution of a coalesced job group."""
-
-    def __init__(
-        self,
-        path: ClassicalPath,
-        members: Sequence[EnsembleMember],
-        policy: HopPolicy,
-        substeps: int = 20,
-        array_backend: Optional[str] = None,
-        batch_size: Optional[int] = None,
-        executor: Optional[DomainExecutor] = None,
-        round_size: int = 1,
-    ) -> None:
-        if not members:
-            raise ValueError("a group needs at least one member")
-        for m in members:
-            if m.istate >= path.nstates:
-                raise ValueError("istate outside the path's state range")
-        self.path = path
-        self.members = tuple(members)
-        self.policy = policy
-        self.substeps = int(substeps)
-        self.array_backend = array_backend
-        if batch_size is None:
-            from repro.ensemble.engine import EnsembleConfig
-
-            batch_size = resolve_batch_size(
-                EnsembleConfig(ntraj=members[0].ntraj, seed=members[0].seed)
-            )
-        self.batch_size = int(batch_size)
-        self.tasks = pack_segments(self.members, self.batch_size)
-        self.round_size = max(1, int(round_size))
-        self._executor = executor
-        total = sum(m.ntraj for m in self.members)
-        self.total_traj = total
-        nsteps, nstates = path.nsteps, path.nstates
-        self.populations = np.zeros((nsteps, total, nstates))
-        self.actives = np.zeros((nsteps, total), dtype=np.int64)
-        self.hops = np.zeros(total, dtype=np.int64)
-        self.final_amplitudes = np.zeros((total, nstates),
-                                         dtype=np.complex128)
-        self.final_active = np.zeros(total, dtype=np.int64)
-        self.ke_factor = np.ones(total, dtype=np.float64)
-        self.done = np.zeros(len(self.tasks), dtype=bool)
-        # SupervisableRun surface.
-        self.step_count = 0
-        self.time = 0.0
-        self.history: List[GroupRoundRecord] = []
-        self.health_guard: Any = None
-        self.config: Any = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def complete(self) -> bool:
-        return bool(self.done.all())
-
-    @property
-    def rounds_remaining(self) -> int:
-        pending = int(np.count_nonzero(~self.done))
-        return math.ceil(pending / self.round_size)
-
-    def _task_item(self, index: int) -> Tuple[Any, ...]:
-        return (self.path.energies, self.path.nac, self.path.kinetic,
-                self.path.dt, self.tasks[index], self.substeps,
-                self.policy, self.array_backend)
-
-    def _apply(self, index: int, results: List[SegmentResult]) -> None:
-        for res in results:
-            lo, hi = res.lo, res.hi
-            self.populations[:, lo:hi, :] = res.populations
-            self.actives[:, lo:hi] = res.actives
-            self.hops[lo:hi] = res.hops
-            self.final_amplitudes[lo:hi] = res.final_amplitudes
-            self.final_active[lo:hi] = res.final_active
-            self.ke_factor[lo:hi] = res.ke_factor
-        self.done[index] = True
-
-    def md_step(self) -> GroupRoundRecord:
-        """Run one round of pending stacked tasks (the supervisable unit)."""
-        todo = np.nonzero(~self.done)[0][: self.round_size]
-        if todo.size:
-            items = [self._task_item(int(i)) for i in todo]
-            with trace_span("serve.batch.execute", "serve",
-                            round=self.step_count, tasks=len(items),
-                            jobs=len(self.members),
-                            ntraj=self.total_traj):
-                if self._executor is not None:
-                    results = self._executor.map(
-                        _stacked_swarm_task, items,
-                        label="serve.ensemble.batches",
-                    )
-                else:
-                    results = [_stacked_swarm_task(item) for item in items]
-            for i, res in zip(todo, results):
-                self._apply(int(i), res)
-        self.step_count += 1
-        self.time = float(self.step_count)
-        record = GroupRoundRecord(
-            step=self.step_count,
-            tasks_run=int(todo.size),
-            tasks_done=int(np.count_nonzero(self.done)),
-            tasks_total=len(self.tasks),
-        )
-        self.history.append(record)
-        return record
-
-    def run(self) -> List[MemberResult]:
-        """Run every pending round; returns per-member results."""
-        while not self.complete:
-            self.md_step()
-        return self.results()
-
-    def results(self) -> List[MemberResult]:
-        """Reassemble each member's slice (all tasks must be done)."""
-        if not self.complete:
-            raise RuntimeError(
-                f"group incomplete: {int(np.count_nonzero(self.done))}"
-                f"/{len(self.tasks)} tasks done"
-            )
-        out: List[MemberResult] = []
-        offset = 0
-        for m in self.members:
-            sl = slice(offset, offset + m.ntraj)
-            pops = self.populations[:, sl, :].copy()
-            acts = self.actives[:, sl].copy()
-            out.append(MemberResult(
-                stats=compute_stats(pops, acts),
-                populations=pops,
-                actives=acts,
-                hops=self.hops[sl].copy(),
-                final_amplitudes=self.final_amplitudes[sl].copy(),
-                final_active=self.final_active[sl].copy(),
-                ke_factor=self.ke_factor[sl].copy(),
-            ))
-            offset += m.ntraj
-        return out
-
-    # ------------------------------------------------------------------ #
-    def _fingerprint(self) -> str:
-        p = self.policy
-        return config_hash({
-            "version": GROUP_CKPT_VERSION,
-            "members": [[m.ntraj, m.istate, m.seed] for m in self.members],
-            "substeps": self.substeps,
-            "batch_size": self.batch_size,
-            "nsteps": self.path.nsteps,
-            "nstates": self.path.nstates,
-            "dt": self.path.dt,
-            "policy": [p.hop_rescale, p.hop_reject,
-                       p.dec_correction or "", p.edc_parameter],
-            "array_backend": self.array_backend or "numpy",
-        })
-
-    def save_state(self, path: Union[str, pathlib.Path]) -> None:
-        """Archive the partial group (checkpoint-writer callback)."""
-        meta = {"fingerprint": self._fingerprint(),
-                "step_count": self.step_count}
-        np.savez(
-            path,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            populations=self.populations,
-            actives=self.actives,
-            hops=self.hops,
-            final_amplitudes=self.final_amplitudes,
-            final_active=self.final_active,
-            ke_factor=self.ke_factor,
-            done=self.done,
-        )
-
-    def load_state(self, path: Union[str, pathlib.Path]) -> None:
-        """Restore a partial group written by :meth:`save_state`."""
-        with np.load(path) as archive:
-            meta = json.loads(bytes(archive["meta"]).decode())
-            loaded = {
-                key: archive[key]
-                for key in ("populations", "actives", "hops",
-                            "final_amplitudes", "final_active",
-                            "ke_factor", "done")
-            }
-        step_count = int(meta.pop("step_count", -1))
-        expected = self._fingerprint()
-        if meta.get("fingerprint") != expected:
-            raise CheckpointCorruptError(
-                f"group checkpoint fingerprint mismatch: "
-                f"{meta.get('fingerprint')} != {expected}"
-            )
-        if loaded["populations"].shape != self.populations.shape or \
-                loaded["done"].shape != self.done.shape:
-            raise CheckpointCorruptError(
-                "group checkpoint array shapes do not match the run"
-            )
-        self.populations = loaded["populations"]
-        self.actives = loaded["actives"]
-        self.hops = loaded["hops"]
-        self.final_amplitudes = loaded["final_amplitudes"]
-        self.final_active = loaded["final_active"]
-        self.ke_factor = loaded["ke_factor"]
-        self.done = loaded["done"].astype(bool)
-        self.step_count = step_count
-        self.time = float(step_count)
+from repro.ensemble.engine import EnsembleResult, EnsembleRun
 
 
 def run_group_supervised(
-    group: EnsembleGroupRun,
+    group: EnsembleRun,
     checkpoint_dir: Union[str, pathlib.Path],
     deadline_s: Optional[float] = None,
     max_retries: int = 1,
-) -> List[MemberResult]:
-    """Drive a group to completion under the run supervisor.
+) -> List[EnsembleResult]:
+    """Drive a coalesced group to completion under the run supervisor.
 
     One round per checkpointed segment; the tightest member deadline is
     the segment budget.  Recoverable faults (worker crashes, deadline
     expiry with relaxation, torn checkpoints) heal instead of failing
-    every job in the group.
+    every job in the group.  Returns one result per member.
     """
     from repro.resilience.supervisor import RunSupervisor, SupervisorConfig
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
 import itertools
 import pathlib
 import shutil
@@ -33,19 +34,16 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.artifacts import ArtifactKey, ArtifactStore, machine_fingerprint
+from repro.ensemble.engine import EnsembleMember, EnsembleRun
 from repro.obs import trace_span
 from repro.resilience.liveness import deadline_scope
 from repro.serve import workloads
-from repro.serve.coalesce import (
-    EnsembleGroupRun,
-    EnsembleMember,
-    run_group_supervised,
-)
+from repro.serve.coalesce import run_group_supervised
 from repro.serve.jobs import (
     JobSpec,
     artifact_key,
@@ -496,10 +494,20 @@ class ServeDaemon:
         )
         self.metrics.bump("memo_stores")
 
-    def _scratch_dir(self, specs: Tuple[JobSpec, ...]) -> pathlib.Path:
+    @contextlib.contextmanager
+    def _scratch_dir(
+        self, specs: Tuple[JobSpec, ...]
+    ) -> Iterator[pathlib.Path]:
+        """A fresh supervisor checkpoint dir for one execution.
+
+        Removed once the execution's results are in hand; an execution
+        that raises leaves it behind for inspection.
+        """
         assert self._scratch_root is not None
         name = f"{group_signature(specs)[:16]}-{next(self._exec_counter)}"
-        return pathlib.Path(self._scratch_root) / name
+        path = pathlib.Path(self._scratch_root) / name
+        yield path
+        shutil.rmtree(path, ignore_errors=True)
 
     def _compute_group(
         self, kind: str, specs: List[JobSpec]
@@ -513,10 +521,11 @@ class ServeDaemon:
         out = []
         for spec in specs:
             with trace_span("serve.job", "serve", kind=kind,
-                            job=spec.job_id):
+                            job=spec.job_id), \
+                    self._scratch_dir((spec,)) as scratch:
                 payload = workloads.run_payload(
                     spec.params,
-                    supervise_dir=self._scratch_dir((spec,)),
+                    supervise_dir=scratch,
                     deadline_s=spec.deadline_s,
                     max_retries=self.config.max_retries,
                 )
@@ -611,7 +620,7 @@ class ServeDaemon:
         budget = min(deadlines) if deadlines else None
         explicit = [s.params["batch_size"] for s in specs
                     if s.params["batch_size"] is not None]
-        group = EnsembleGroupRun(
+        group = EnsembleRun(
             path,
             members,
             policy=workloads.ensemble_policy(shared),
@@ -619,12 +628,13 @@ class ServeDaemon:
             array_backend=shared["array_backend"],
             batch_size=int(explicit[0]) if explicit else None,
         )
-        results = run_group_supervised(
-            group,
-            self._scratch_dir(tuple(specs)),
-            deadline_s=budget,
-            max_retries=self.config.max_retries,
-        )
+        with self._scratch_dir(tuple(specs)) as scratch:
+            results = run_group_supervised(
+                group,
+                scratch,
+                deadline_s=budget,
+                max_retries=self.config.max_retries,
+            )
         return [
             (spec, workloads.ensemble_payload(member), {})
             for spec, member in zip(specs, results)

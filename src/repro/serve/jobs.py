@@ -200,6 +200,7 @@ def kind_code_fingerprint(kind: str) -> str:
     under a running daemon without a restart).
     """
     import repro.core.mesh
+    import repro.ensemble.engine
     import repro.ensemble.path
     import repro.ensemble.swarm
     import repro.qxmd.scf
@@ -210,8 +211,9 @@ def kind_code_fingerprint(kind: str) -> str:
         "run": [repro.serve.workloads, repro.core.mesh, repro.qxmd.scf],
         "spectrum": [repro.serve.workloads],
         "scf": [repro.serve.workloads, repro.qxmd.scf],
-        "ensemble": [repro.serve.workloads, repro.ensemble.swarm,
-                     repro.ensemble.path, repro.qxmd.sh_kernels],
+        "ensemble": [repro.serve.workloads, repro.ensemble.engine,
+                     repro.ensemble.swarm, repro.ensemble.path,
+                     repro.qxmd.sh_kernels],
     }[kind]
     return _code_fingerprint(modules)
 

@@ -53,7 +53,6 @@ DVOL_PATHS: Tuple[str, ...] = (
 #: QDPropagator inside a loop there bypasses the backend-selectable
 #: executor (and its crash healing, tracing and RNG discipline).
 EXECUTOR_PATHS: Tuple[str, ...] = (
-    "repro/parallel/distributed.py",
     "repro/qxmd/dftsolver.py",
     "repro/core/mesh.py",
 )
@@ -69,7 +68,6 @@ TUNING_LITERAL_PATHS: Tuple[str, ...] = (
     "repro/qxmd/",
     "repro/core/",
     "repro/resilience/",
-    "repro/parallel/distributed.py",
 )
 
 #: Keyword arguments owned by the tuning subsystem: pinning one of

@@ -39,22 +39,22 @@ class TestConfig:
 
     def test_istate_range_checked_against_path(self):
         with pytest.raises(ValueError, match="istate"):
-            EnsembleRun(PATH, EnsembleConfig(istate=7))
+            EnsembleRun.from_config(PATH, EnsembleConfig(istate=7))
 
     def test_resolve_batch_size_explicit(self):
-        assert resolve_batch_size(EnsembleConfig(batch_size=5)) == 5
+        assert resolve_batch_size(5) == 5
 
     def test_resolve_batch_size_from_profile_default(self):
         # With no tuning cache applied the profile falls back to the
         # canonical default table.
-        assert resolve_batch_size(EnsembleConfig()) == 32
+        assert resolve_batch_size(None) == 32
 
 
 class TestRounds:
     def test_round_records_and_completion(self):
-        with EnsembleRun(PATH,
-                         EnsembleConfig(ntraj=16, seed=44, batch_size=4),
-                         round_size=3) as run:
+        with EnsembleRun.from_config(
+                PATH, EnsembleConfig(ntraj=16, seed=44, batch_size=4),
+                round_size=3) as run:
             assert run.rounds_remaining == 2   # ceil(4 batches / 3)
             rec1 = run.md_step()
             assert rec1.batches_run == 3
@@ -69,8 +69,8 @@ class TestRounds:
     def test_noop_round_after_completion(self):
         """The supervisable contract: md_step past completion is a no-op
         that still advances step_count (so segment accounting works)."""
-        with EnsembleRun(PATH, EnsembleConfig(ntraj=8, seed=44,
-                                              batch_size=8)) as run:
+        with EnsembleRun.from_config(
+                PATH, EnsembleConfig(ntraj=8, seed=44, batch_size=8)) as run:
             run.run()
             steps = run.step_count
             rec = run.md_step()
@@ -80,16 +80,16 @@ class TestRounds:
                                   reference_result().hops[:8])
 
     def test_result_raises_while_incomplete(self):
-        with EnsembleRun(PATH, EnsembleConfig(ntraj=16, seed=44,
-                                              batch_size=4)) as run:
+        with EnsembleRun.from_config(
+                PATH, EnsembleConfig(ntraj=16, seed=44, batch_size=4)) as run:
             with pytest.raises(RuntimeError, match="incomplete"):
                 run.result()
 
     def test_run_wrapper_equals_manual_rounds(self):
         ref = reference_result()
-        with EnsembleRun(PATH, EnsembleConfig(ntraj=16, seed=44,
-                                              batch_size=4),
-                         round_size=1) as run:
+        with EnsembleRun.from_config(
+                PATH, EnsembleConfig(ntraj=16, seed=44, batch_size=4),
+                round_size=1) as run:
             while not run.complete:
                 run.md_step()
             got = run.result()
@@ -99,7 +99,7 @@ class TestRounds:
 
 class TestCheckpointResume:
     def make_run(self, **kwargs):
-        return EnsembleRun(
+        return EnsembleRun.from_config(
             PATH, EnsembleConfig(ntraj=16, seed=44, batch_size=4),
             round_size=1, **kwargs,
         )
@@ -114,7 +114,7 @@ class TestCheckpointResume:
         with self.make_run() as resumed:
             resumed.load_state(ck)
             assert int(np.count_nonzero(resumed.done)) == 2
-            got = resumed.run()
+            (got,) = resumed.run()
         assert np.array_equal(ref.populations, got.populations)
         assert np.array_equal(ref.actives, got.actives)
         assert np.array_equal(ref.hops, got.hops)
@@ -125,8 +125,8 @@ class TestCheckpointResume:
         with self.make_run() as run:
             run.md_step()
             run.save_state(ck)
-        other = EnsembleRun(PATH, EnsembleConfig(ntraj=16, seed=45,
-                                                 batch_size=4))
+        other = EnsembleRun.from_config(
+            PATH, EnsembleConfig(ntraj=16, seed=45, batch_size=4))
         with pytest.raises(CheckpointCorruptError, match="fingerprint"):
             other.load_state(ck)
         other.close()
@@ -136,7 +136,7 @@ class TestCheckpointResume:
         with self.make_run() as run:
             run.md_step()
             run.save_state(ck)
-        other = EnsembleRun(
+        other = EnsembleRun.from_config(
             PATH,
             EnsembleConfig(ntraj=16, seed=44, batch_size=4,
                            policy=HopPolicy(dec_correction="edc")),
@@ -156,8 +156,8 @@ class TestCheckpointResume:
             PATH, energies=PATH.energies[:10], nac=PATH.nac[:10],
             kinetic=PATH.kinetic[:10],
         )
-        other = EnsembleRun(short, EnsembleConfig(ntraj=16, seed=44,
-                                                  batch_size=4))
+        other = EnsembleRun.from_config(
+            short, EnsembleConfig(ntraj=16, seed=44, batch_size=4))
         with pytest.raises(CheckpointCorruptError):
             other.load_state(ck)
         other.close()
@@ -198,7 +198,7 @@ class TestSupervised:
         assert np.array_equal(ref.ke_factor, got.ke_factor)
 
     def make_supervised(self, tmp_path):
-        return EnsembleRun(
+        return EnsembleRun.from_config(
             PATH, EnsembleConfig(ntraj=16, seed=44, batch_size=4),
             round_size=1,
         )

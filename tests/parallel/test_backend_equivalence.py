@@ -27,7 +27,6 @@ from repro.grids.domain import DomainDecomposition
 from repro.grids.grid import Grid3D
 from repro.maxwell.laser import GaussianPulse
 from repro.parallel.backends import ProcessBackend, SerialBackend, ThreadBackend
-from repro.parallel.distributed import DistributedDCSolver
 from repro.pseudo.elements import get_species
 from repro.qxmd.dftsolver import GlobalDCSolver
 from repro.qxmd.scf import SCFConfig, SCFTask, scf_solve_batch
@@ -114,7 +113,7 @@ def _distributed_solve(executor=None, nranks=2):
          [L / 4, 3 * L / 4, L / 2], [3 * L / 4, 3 * L / 4, L / 2]]
     )
     species = [get_species("H")] * 4
-    solver = DistributedDCSolver(
+    solver = GlobalDCSolver(
         grid, dec, positions, species, nranks=nranks,
         norb_extra=1, nscf=2, ncg=1, seed=5, executor=executor,
     )

@@ -173,6 +173,31 @@ class TestTimeCharging:
         comm.allreduce([np.ones(1000) for _ in range(4)])
         assert all(t > 0 for t in tl.comm_total)
 
+    def test_every_collective_charges_the_timeline(self):
+        from repro.parallel import SLINGSHOT, RankTimeline
+
+        arrays = [np.ones(64) for _ in range(4)]
+        calls = {
+            "bcast": lambda c: c.bcast([np.ones(64), 1.0]),
+            "reduce": lambda c: c.reduce(arrays),
+            "gather": lambda c: c.gather(arrays),
+            "allgather": lambda c: c.allgather(arrays),
+            "scatter": lambda c: c.scatter(arrays),
+            "alltoall": lambda c: c.alltoall([arrays] * 4),
+        }
+        for name, call in calls.items():
+            tl = RankTimeline(4)
+            call(SimComm(4, network=SLINGSHOT, timeline=tl))
+            assert all(t > 0 for t in tl.comm_total), name
+        tl = RankTimeline(4)
+        comm = SimComm(4, network=SLINGSHOT, timeline=tl)
+        comm.send(np.ones(8), 0, 3)
+        comm.recv(0, 3)
+        comm.barrier()
+        assert tl.comm_total[0] > 0 and tl.comm_total[3] > 0
+        assert tl.comm_total[1] == 0.0
+        assert tl.barriers == 1
+
     def test_no_network_no_charge(self, comm):
         comm.allreduce([1, 2, 3, 4])  # must not raise
 

@@ -1,20 +1,23 @@
-"""Coalescing correctness: stacked groups are bitwise-equal to solo runs."""
+"""Coalescing correctness: stacked members are bitwise-equal to solo runs."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.ensemble import EnsembleConfig, model_path, run_ensemble
+from repro.ensemble import (
+    EnsembleConfig,
+    EnsembleMember,
+    EnsembleRun,
+    engine,
+    model_path,
+    pack_segments,
+    run_ensemble,
+)
+from repro.parallel.executor import chunk_slices
 from repro.qxmd.sh_kernels import HopPolicy
 from repro.resilience.checkpointing import CheckpointCorruptError
-from repro.serve.coalesce import (
-    EnsembleGroupRun,
-    EnsembleMember,
-    Segment,
-    pack_segments,
-    run_group_supervised,
-)
+from repro.serve.coalesce import run_group_supervised
 
 PATH = model_path(nsteps=12, nstates=4, dt=1.0, seed=11, coupling=0.12)
 POLICY = HopPolicy()
@@ -62,6 +65,13 @@ class TestPackSegments:
         want = sorted((m.seed, i) for m in members for i in range(m.ntraj))
         assert rows == want
 
+    def test_one_member_is_chunk_slices(self):
+        for ntraj, batch_size in ((10, 4), (8, 8), (3, 5), (1, 1)):
+            tasks = pack_segments([EnsembleMember(ntraj, 0, 5)], batch_size)
+            assert all(len(t) == 1 for t in tasks)
+            assert [(t[0].lo, t[0].hi) for t in tasks] == \
+                chunk_slices(ntraj, batch_size)
+
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             pack_segments([EnsembleMember(2, 0, 1)], batch_size=0)
@@ -89,7 +99,7 @@ class TestGroupEquivalence:
             EnsembleMember(ntraj=3, istate=1, seed=202),
             EnsembleMember(ntraj=5, istate=3, seed=303),
         ]
-        group = EnsembleGroupRun(PATH, members, POLICY, batch_size=4)
+        group = EnsembleRun(PATH, members, POLICY, batch_size=4)
         results = group.run()
         for member, res in zip(members, results):
             assert_member_matches_solo(
@@ -98,8 +108,8 @@ class TestGroupEquivalence:
 
     def test_batch_size_invariance_of_the_group_itself(self):
         members = [EnsembleMember(4, 2, 7), EnsembleMember(4, 0, 9)]
-        wide = EnsembleGroupRun(PATH, members, POLICY, batch_size=8).run()
-        narrow = EnsembleGroupRun(PATH, members, POLICY, batch_size=3).run()
+        wide = EnsembleRun(PATH, members, POLICY, batch_size=8).run()
+        narrow = EnsembleRun(PATH, members, POLICY, batch_size=3).run()
         for a, b in zip(wide, narrow):
             assert np.array_equal(a.populations, b.populations)
             assert np.array_equal(a.hops, b.hops)
@@ -107,14 +117,14 @@ class TestGroupEquivalence:
 
     def test_istate_validated_against_path(self):
         with pytest.raises(ValueError, match="istate"):
-            EnsembleGroupRun(PATH, [EnsembleMember(2, 9, 1)], POLICY)
+            EnsembleRun(PATH, [EnsembleMember(2, 9, 1)], POLICY)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            EnsembleGroupRun(PATH, [], POLICY)
+            EnsembleRun(PATH, [], POLICY)
 
     def test_results_before_completion_rejected(self):
-        group = EnsembleGroupRun(
+        group = EnsembleRun(
             PATH, [EnsembleMember(4, 0, 1)], POLICY, batch_size=2
         )
         with pytest.raises(RuntimeError, match="incomplete"):
@@ -123,16 +133,17 @@ class TestGroupEquivalence:
 
 class TestRounds:
     def test_round_records(self):
-        group = EnsembleGroupRun(
+        group = EnsembleRun(
             PATH, [EnsembleMember(8, 0, 5)], POLICY,
             batch_size=2, round_size=3,
         )
-        assert len(group.tasks) == 4
+        assert len(group.batches) == 4
         assert group.rounds_remaining == 2
         rec = group.md_step()
-        assert (rec.step, rec.tasks_run, rec.tasks_done) == (1, 3, 3)
+        assert (rec.step, rec.batches_run, rec.batches_done) == (1, 3, 3)
         rec = group.md_step()
-        assert (rec.tasks_run, rec.tasks_done, rec.tasks_total) == (1, 4, 4)
+        assert (rec.batches_run, rec.batches_done,
+                rec.batches_total) == (1, 4, 4)
         assert group.complete
         assert group.rounds_remaining == 0
 
@@ -140,7 +151,7 @@ class TestRounds:
 class TestCheckpoint:
     def make_group(self, **kw):
         members = [EnsembleMember(4, 3, 7), EnsembleMember(2, 1, 8)]
-        return EnsembleGroupRun(PATH, members, POLICY, batch_size=2,
+        return EnsembleRun(PATH, members, POLICY, batch_size=2,
                                 round_size=1, **kw)
 
     def test_round_trip_resumes_bitwise(self, tmp_path):
@@ -163,18 +174,32 @@ class TestCheckpoint:
     def test_fingerprint_mismatch_detected(self, tmp_path):
         ckpt = tmp_path / "group.npz"
         self.make_group().save_state(ckpt)
-        other = EnsembleGroupRun(
+        other = EnsembleRun(
             PATH, [EnsembleMember(4, 3, 7), EnsembleMember(2, 1, 9)],
             POLICY, batch_size=2,
         )
         with pytest.raises(CheckpointCorruptError, match="fingerprint"):
             other.load_state(ckpt)
 
+    def test_old_version_checkpoint_refused(self, tmp_path, monkeypatch):
+        """A checkpoint of the previous schema version -- the former
+        group schema, whose fingerprint payload differs only in the
+        version tag -- is refused instead of spliced into the run."""
+        ckpt = tmp_path / "group.npz"
+        current = engine.ENSEMBLE_CKPT_VERSION
+        monkeypatch.setattr(engine, "ENSEMBLE_CKPT_VERSION", current - 1)
+        half = self.make_group()
+        half.md_step()
+        half.save_state(ckpt)
+        monkeypatch.setattr(engine, "ENSEMBLE_CKPT_VERSION", current)
+        with pytest.raises(CheckpointCorruptError, match="fingerprint"):
+            self.make_group().load_state(ckpt)
+
     def test_supervised_group_equals_unsupervised(self, tmp_path):
         members = [EnsembleMember(5, 2, 31), EnsembleMember(3, 0, 32)]
-        group = EnsembleGroupRun(PATH, members, POLICY, batch_size=3)
+        group = EnsembleRun(PATH, members, POLICY, batch_size=3)
         supervised = run_group_supervised(group, tmp_path / "ck")
-        plain = EnsembleGroupRun(PATH, members, POLICY, batch_size=3).run()
+        plain = EnsembleRun(PATH, members, POLICY, batch_size=3).run()
         for a, b in zip(supervised, plain):
             assert np.array_equal(a.populations, b.populations)
             assert np.array_equal(a.final_active, b.final_active)

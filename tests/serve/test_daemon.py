@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.ensemble import engine
 from repro.serve import (
     BatchPolicy,
     DaemonHandle,
@@ -177,6 +178,31 @@ class TestSubmit:
             # The next identical job recomputes (no stale answer).
             r = client.submit([{"kind": "scf", "params": dict(SCF)}])
             assert r[0]["meta"]["memoized"] is False
+
+
+class TestScratch:
+    def test_finished_jobs_leave_no_scratch_dirs(self, tmp_path):
+        scratch = tmp_path / "scratch"
+        with serving(tmp_path, policy=BatchPolicy(max_batch=1)) as (_, client):
+            for seed in range(4):
+                client.run_job("ensemble", {**ENS, "seed": seed},
+                               memoize=False)
+            client.run_job("run", {"grid": 8, "steps": 1, "n_qd": 2},
+                           memoize=False)
+            assert list(scratch.iterdir()) == []
+
+    def test_failed_job_keeps_its_scratch_dir(self, tmp_path, monkeypatch):
+        def broken(args):
+            raise ValueError("broken swarm task")
+
+        monkeypatch.setattr(engine, "_swarm_task", broken)
+        scratch = tmp_path / "scratch"
+        with serving(tmp_path) as (_, client):
+            with pytest.raises(ServeError):
+                client.run_job("ensemble", dict(ENS), memoize=False)
+            kept = list(scratch.iterdir())
+            assert len(kept) == 1
+            assert any(kept[0].iterdir())  # the generation-0 checkpoint
 
 
 class TestBackpressure:
