@@ -3,15 +3,16 @@
 An :class:`ArtifactStore` maps an :class:`ArtifactKey` -- the
 ``(kind, config hash, code fingerprint, machine fingerprint)`` quadruple
 from :mod:`repro.artifacts.fingerprint` -- to an on-disk ``.npz``
-artifact holding named NumPy arrays plus a JSON metadata record.  The
+artifact holding named NumPy arrays plus a JSON metadata record (the
+:func:`~repro.resilience.atomicio.write_npz` archive format).  The
 address *is* the key digest, so a lookup under changed code, a different
 machine, or a different configuration simply misses: invalidation is
 free, there is nothing to expire.
 
 Durability follows the repo's persistence rules:
 
-* every artifact is written with the fsync'd same-directory atomic
-  writer of :mod:`repro.resilience.atomicio`, honouring the
+* every artifact is written with :func:`~repro.resilience.atomicio.write_npz`
+  over the fsync'd same-directory atomic writer, honouring the
   ``artifact.enospc`` / ``artifact.torn_write`` fault sites -- a crash
   or full disk can never publish a half-written artifact;
 * an artifact that is nevertheless unreadable (torn by an unclean
@@ -22,14 +23,12 @@ Durability follows the repo's persistence rules:
   store fits the budget -- the newest artifact is never evicted.
 
 Concurrent writers of the same key are safe by construction: each writes
-its own temp file and the last ``os.replace`` wins whole, so readers see
+its own temp file and the last atomic rename wins whole, so readers see
 one of the complete artifacts, never an interleaving.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import os
 from dataclasses import dataclass
 from hashlib import sha256
@@ -38,10 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.resilience.atomicio import atomic_write_bytes
-
-#: npz member name reserved for the JSON metadata record.
-_META_MEMBER = "__meta__"
+from repro.resilience.atomicio import read_npz, write_npz
 
 
 @dataclass(frozen=True)
@@ -106,20 +102,8 @@ class ArtifactStore:
         Raises ``OSError`` (and leaves any previous artifact intact) when
         the disk is full or the ``artifact.enospc`` fault site is armed.
         """
-        if _META_MEMBER in arrays:
-            raise ValueError(f"array name {_META_MEMBER!r} is reserved")
-        record = dict(meta) if meta is not None else {}
-        buf = io.BytesIO()
-        np.savez(
-            buf,
-            **{_META_MEMBER: np.frombuffer(
-                json.dumps(record, sort_keys=True).encode(), dtype=np.uint8
-            )},
-            **dict(arrays),
-        )
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(path, buf.getvalue(), fault_prefix="artifact")
+        write_npz(path, arrays, dict(meta or {}), fault_prefix="artifact")
         if self.max_bytes is not None:
             self._evict_to_budget(keep=path)
         return path
@@ -138,14 +122,7 @@ class ArtifactStore:
             self.misses += 1
             return None
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                meta_raw = bytes(archive[_META_MEMBER].tobytes())
-                arrays = {
-                    name: archive[name]
-                    for name in archive.files
-                    if name != _META_MEMBER
-                }
-            meta = json.loads(meta_raw.decode())
+            arrays, meta = read_npz(path)
         except Exception:  # dclint: disable=DCL004 -- any unreadable artifact (torn zip, bad JSON, OS error) must degrade to a recomputable miss
             self.corrupt += 1
             self.misses += 1

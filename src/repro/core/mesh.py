@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core import checkpoint
 from repro.core.scissor import filled_orbital_count, scissor_shift
 from repro.core.shadow import ShadowLedger
 from repro.core.timescale import TimescaleSplit
@@ -483,3 +484,7 @@ class DCMESHSimulation:
         if nsteps < 0:
             raise ValueError("nsteps must be non-negative")
         return [self.md_step() for _ in range(nsteps)]
+
+    # Snapshot/restore as ``(arrays, meta)``; see :mod:`repro.core.checkpoint`.
+    checkpoint_state = checkpoint.checkpoint_state
+    restore_state = checkpoint.restore_state

@@ -16,19 +16,17 @@ the serving daemon coalesces many jobs into one run.
 :class:`EnsembleRun` is supervisable: one task *round* (up to
 ``round_size`` tasks through the executor) is one "MD step" to the
 :class:`~repro.resilience.supervisor.RunSupervisor`, and
-``save_state``/``load_state`` persist the partial run through the
-hardened checkpoint writer -- a crash mid-ensemble resumes with the
+``checkpoint_state``/``restore_state`` persist the partial run through
+the hardened checkpoint writer -- a crash mid-ensemble resumes with the
 completed tasks intact and replays only the missing ones, bit-
 identically (each task is a pure function of its segments).
 """
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +42,7 @@ from repro.resilience.checkpointing import CheckpointCorruptError
 
 #: Version tag of the partial-ensemble checkpoint schema; it is part of
 #: the fingerprint, so checkpoints of any other version do not resume.
-ENSEMBLE_CKPT_VERSION = 2
+ENSEMBLE_CKPT_VERSION = 3
 
 
 @dataclass
@@ -261,7 +259,7 @@ class EnsembleRun:
     Satisfies the supervisor's
     :class:`~repro.resilience.supervisor.SupervisableRun` protocol: one
     ``md_step()`` runs up to ``round_size`` pending tasks through the
-    executor; ``save_state``/``load_state`` persist the partial run
+    executor; ``checkpoint_state``/``restore_state`` persist the partial run
     (completed-task traces + done mask) so the hardened checkpoint
     writer and ``--restart`` machinery work unchanged.  ``executor=None``
     runs the tasks on a serial backend; :meth:`close` shuts the executor
@@ -475,41 +473,38 @@ class EnsembleRun:
             "array_backend": self.array_backend or "numpy",
         })
 
-    def save_state(self, path: Union[str, pathlib.Path]) -> None:
-        """Archive the partial run (checkpoint-writer callback)."""
+    def checkpoint_state(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+        """The partial run as ``(arrays, meta)`` for the checkpoint writer."""
         meta = {"fingerprint": self._fingerprint(),
                 "step_count": self.step_count}
-        np.savez(
-            path,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            populations=self.populations,
-            actives=self.actives,
-            hops=self.hops,
-            final_amplitudes=self.final_amplitudes,
-            final_active=self.final_active,
-            ke_factor=self.ke_factor,
-            done=self.done,
-        )
+        arrays = {
+            "populations": self.populations,
+            "actives": self.actives,
+            "hops": self.hops,
+            "final_amplitudes": self.final_amplitudes,
+            "final_active": self.final_active,
+            "ke_factor": self.ke_factor,
+            "done": self.done,
+        }
+        return arrays, meta
 
-    def load_state(self, path: Union[str, pathlib.Path]) -> None:
-        """Restore a partial run written by :meth:`save_state`.
+    def restore_state(self, arrays: Mapping[str, np.ndarray], meta: Mapping[str, Any]) -> None:
+        """Restore a partial run snapshotted by :meth:`checkpoint_state`.
 
-        Two-phase: every array is read and validated against this run's
+        Two-phase: every array is validated against this run's
         configuration fingerprint before any state is touched.  A
         fingerprint mismatch raises
         :class:`~repro.resilience.checkpointing.CheckpointCorruptError`
         so the restore machinery falls back a generation rather than
         splicing an incompatible ensemble into this run.
         """
-        with np.load(path) as archive:
-            meta = json.loads(bytes(archive["meta"]).decode())
-            loaded = {
-                key: archive[key]
-                for key in ("populations", "actives", "hops",
-                            "final_amplitudes", "final_active",
-                            "ke_factor", "done")
-            }
-        step_count = int(meta.pop("step_count", -1))
+        loaded = {
+            key: arrays[key]
+            for key in ("populations", "actives", "hops",
+                        "final_amplitudes", "final_active",
+                        "ke_factor", "done")
+        }
+        step_count = int(meta.get("step_count", -1))
         expected = self._fingerprint()
         if meta.get("fingerprint") != expected:
             raise CheckpointCorruptError(

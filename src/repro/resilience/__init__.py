@@ -11,7 +11,8 @@ Cooperating sub-modules:
 * :mod:`repro.resilience.liveness` -- deadline budgets, run-wide retry
   budgets and a circuit breaker (the bounded-waiting primitives);
 * :mod:`repro.resilience.atomicio` -- fsync'd same-directory atomic
-  writes shared by every persistence path;
+  writes and the one npz + JSON-metadata archive format shared by every
+  persistence path;
 * :mod:`repro.resilience.supervisor` -- checkpointed segment execution
   with bounded retries, deadline enforcement, graceful degradation,
   corrupt-checkpoint fallback and a structured JSON event log, on top
@@ -21,8 +22,9 @@ Cooperating sub-modules:
 ``faults``, ``guards``, ``liveness`` and ``atomicio`` are
 dependency-free (NumPy at most) and imported eagerly -- instrumented
 hot paths may import them during ``repro.core`` initialization.
-``checkpointing`` and ``supervisor`` depend on ``repro.core`` and are
-loaded lazily (PEP 562) to keep the import graph acyclic.
+``supervisor`` depends on ``repro.core``; it and ``checkpointing``
+(which it drives) are loaded lazily (PEP 562) to keep the import graph
+acyclic.
 """
 
 from repro.resilience.atomicio import (

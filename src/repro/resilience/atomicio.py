@@ -1,7 +1,8 @@
 """Torn-write-proof persistence: fsync'd same-directory atomic writes.
 
-Every persistence path in the repo (tuning cache, checkpoint sidecars,
-resilience event log) must survive two failure modes that plain
+Every persistence path in the repo (checkpoint archives and sidecars,
+partial-ensemble state, memoized artifacts, tuning cache, resilience
+event log) must survive two failure modes that plain
 ``open().write()`` does not:
 
 * **torn writes** -- a crash (or SIGKILL) mid-write leaves a truncated
@@ -19,22 +20,32 @@ pointing at unwritten blocks), and the directory entry itself is
 any failure the temp file is removed and the previous destination bytes
 are left untouched.
 
+:func:`write_npz` / :func:`read_npz` are the one archive format (mesh and
+ensemble checkpoints, artifact-store entries): a plain ``.npz`` whose
+first member, ``__meta__``, holds the sorted-key JSON metadata as uint8.
+
 Fault injection: callers pass a ``fault_prefix`` naming their subsystem
-(``"cache"``, ``"checkpoint"``, ``"eventlog"``); the writer then honours
-the ``<prefix>.enospc`` site (raise ``OSError(ENOSPC)`` with the old
-file intact) and the ``<prefix>.torn_write`` site (publish deliberately
-truncated bytes, simulating the torn outcome the atomic discipline
-exists to prevent -- so reader-side recovery can be tested).
+(``"cache"``, ``"checkpoint"``, ``"artifact"``, ``"eventlog"``); the
+writer then honours the ``<prefix>.enospc`` site (raise
+``OSError(ENOSPC)`` with the old file intact) and the
+``<prefix>.torn_write`` site (publish deliberately truncated bytes,
+simulating the torn outcome the atomic discipline exists to prevent --
+so reader-side recovery can be tested).
 """
 
 from __future__ import annotations
 
 import errno
+import hashlib
+import io
 import itertools
+import json
 import os
 import pathlib
 import threading
-from typing import Optional, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.resilience.faults import FaultSpec, fault_point
 
@@ -42,6 +53,9 @@ from repro.resilience.faults import FaultSpec, fault_point
 #: the same destination concurrently (e.g. racing artifact-store puts):
 #: a pid-only suffix would make them scribble on each other's temp file.
 _TMP_COUNTER = itertools.count()
+
+#: npz member name reserved for the JSON metadata record.
+META_MEMBER = "__meta__"
 
 
 def fsync_directory(directory: Union[str, pathlib.Path]) -> None:
@@ -112,3 +126,42 @@ def atomic_write_text(
 ) -> pathlib.Path:
     """UTF-8 text variant of :func:`atomic_write_bytes`."""
     return atomic_write_bytes(path, text.encode("utf-8"), fault_prefix)
+
+
+def write_npz(
+    path: Union[str, pathlib.Path],
+    arrays: Mapping[str, np.ndarray],
+    meta: Mapping[str, Any],
+    fault_prefix: Optional[str] = None,
+) -> Tuple[str, int]:
+    """Atomically publish ``arrays`` plus the JSON record ``meta``.
+
+    Returns ``(sha256, nbytes)`` of the *intended* archive bytes.
+    """
+    if META_MEMBER in arrays:
+        raise ValueError(f"array name {META_MEMBER!r} is reserved")
+    record = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    buf = io.BytesIO()
+    np.savez(buf, **{META_MEMBER: record}, **arrays)
+    data = buf.getvalue()
+    atomic_write_bytes(path, data, fault_prefix)
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
+def read_npz(path: Union[str, pathlib.Path]) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+    """Eagerly load a :func:`write_npz` archive as ``(arrays, meta)``.
+
+    Raises ``ValueError`` when ``__meta__`` is absent or not a JSON object.
+    """
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    raw = arrays.pop(META_MEMBER, None)
+    if raw is None:
+        raise ValueError(f"{path}: archive has no {META_MEMBER!r} member")
+    try:
+        meta = json.loads(raw.tobytes().decode())
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ValueError(f"{path}: undecodable {META_MEMBER!r} member") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: {META_MEMBER!r} member is not an object")
+    return arrays, meta

@@ -1,17 +1,17 @@
 """Hardened checkpointing: atomic writes, integrity digests, rotation.
 
-The plain :mod:`repro.core.checkpoint` format is a single ``.npz`` that
-is written in place -- a crash mid-write leaves a truncated archive, and
-a bit flip on disk is only discovered (if ever) as a cryptic ``zlib``
-error at restart.  Production resilience needs three properties:
+A checkpoint generation is the run's ``(arrays, meta)`` snapshot
+published as one :func:`~repro.resilience.atomicio.write_npz` archive.
+Production resilience needs three properties:
 
-* **atomicity** -- the archive is written to a hidden temporary file in
-  the same directory and published with ``os.replace``, so a checkpoint
-  either exists completely or not at all;
-* **integrity** -- a SHA-256 digest of the archive is stored in an
-  atomically written JSON sidecar (``<name>.json``) and verified before
-  any state is loaded, so corruption is detected *before* it can poison
-  a restart;
+* **atomicity** -- the archive goes through the fsync'd same-directory
+  atomic writer, so a checkpoint either exists completely or not at all
+  (the ``checkpoint.enospc`` / ``checkpoint.torn_write`` fault sites
+  fire there);
+* **integrity** -- a SHA-256 digest of the intended archive bytes is
+  stored in an atomically written JSON sidecar (``<name>.json``) and
+  verified before any state is loaded, so corruption is detected
+  *before* it can poison a restart;
 * **rotation** -- the last ``keep`` generations are retained
   (``ckpt-<step>.npz``), so a corrupt newest checkpoint degrades to the
   previous generation instead of ending the run.
@@ -23,19 +23,15 @@ the failure mode the verification is designed to catch.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
-import os
 import pathlib
 import re
-from typing import TYPE_CHECKING, Dict, List, Protocol, Union, cast
+from typing import Any, Dict, List, Mapping, Protocol, Tuple, Union
 
-if TYPE_CHECKING:  # layering: resilience never imports core at runtime
-    from repro.core.mesh import DCMESHSimulation
+import numpy as np
 
-from repro.core.checkpoint import load_checkpoint, save_checkpoint
-from repro.resilience.atomicio import atomic_write_text, fsync_directory
+from repro.resilience.atomicio import atomic_write_text, read_npz, write_npz
 from repro.resilience.faults import fault_point
 
 _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.npz$")
@@ -44,34 +40,22 @@ _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.npz$")
 class CheckpointableRun(Protocol):
     """Structural contract of anything this module can checkpoint.
 
-    :class:`~repro.core.mesh.DCMESHSimulation` satisfies it implicitly
-    (its state is archived by :mod:`repro.core.checkpoint`); other run
-    objects -- e.g. the trajectory-ensemble engine's partial-ensemble
-    state -- opt in by providing ``save_state(path)`` / ``load_state(path)``
-    methods, which :func:`write_checkpoint` / :func:`load_verified`
-    prefer over the mesh-specific archiver.
+    :class:`~repro.core.mesh.DCMESHSimulation` and the trajectory-ensemble
+    engine's :class:`~repro.ensemble.engine.EnsembleRun` both satisfy it:
+    ``checkpoint_state()`` snapshots the run as ``(arrays, meta)`` and
+    ``restore_state(arrays, meta)`` validates and applies one.
     """
 
     step_count: int
     time: float
 
+    def checkpoint_state(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+        """The run's full mutable state as ``(arrays, meta)``."""
+        ...
 
-def _save_state(sim: CheckpointableRun, path: pathlib.Path) -> None:
-    """Archive ``sim``; duck-dispatches to ``sim.save_state`` when present."""
-    saver = getattr(sim, "save_state", None)
-    if callable(saver):
-        saver(path)
-    else:
-        save_checkpoint(cast("DCMESHSimulation", sim), path)
-
-
-def _load_state(sim: CheckpointableRun, path: Union[str, pathlib.Path]) -> None:
-    """Restore ``sim``; duck-dispatches to ``sim.load_state`` when present."""
-    loader = getattr(sim, "load_state", None)
-    if callable(loader):
-        loader(path)
-    else:
-        load_checkpoint(cast("DCMESHSimulation", sim), path)
+    def restore_state(self, arrays: Mapping[str, np.ndarray], meta: Mapping[str, Any]) -> None:
+        """Validate a :meth:`checkpoint_state` snapshot, then apply it."""
+        ...
 
 
 class CheckpointCorruptError(RuntimeError):
@@ -125,46 +109,24 @@ def write_checkpoint(
 
     Returns the published archive path.  The digest sidecar always
     describes the *intended* bytes, so a post-publish corruption (crash,
-    bit rot, or the ``checkpoint.corrupt`` fault site) is caught by
-    :func:`verify_checkpoint` at load time.
+    bit rot, or the ``checkpoint.torn_write`` / ``checkpoint.corrupt``
+    fault sites) is caught by :func:`verify_checkpoint` at load time.
+    A failed write (ENOSPC included) leaves the published generations
+    untouched.
     """
     if keep < 1:
         raise ValueError("keep must be at least 1")
     directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     final = checkpoint_path(directory, sim.step_count)
-    tmp = directory / f".tmp-{final.name}"
-    spec = fault_point("checkpoint.enospc")
-    if spec is not None:
-        # Disk full before a single archive byte lands: the previous
-        # generations (and any existing file at ``final``) stay intact.
-        raise OSError(errno.ENOSPC,
-                      "No space left on device (injected fault)", str(final))
-    try:
-        _save_state(sim, tmp)
-        meta: Dict = {
-            "step": int(sim.step_count),
-            "time": float(sim.time),
-            "sha256": _sha256(tmp),
-            "nbytes": tmp.stat().st_size,
-        }
-        os.replace(tmp, final)
-    except BaseException:
-        # A failed write (real ENOSPC included) never leaves temp litter
-        # and never touches the published generations.
-        tmp.unlink(missing_ok=True)
-        raise
-    fsync_directory(directory)
+    digest, nbytes = write_npz(final, *sim.checkpoint_state(), fault_prefix="checkpoint")
+    meta: Dict = {
+        "step": int(sim.step_count),
+        "time": float(sim.time),
+        "sha256": digest,
+        "nbytes": nbytes,
+    }
     atomic_write_text(sidecar_path(final), json.dumps(meta, indent=1))
 
-    spec = fault_point("checkpoint.torn_write")
-    if spec is not None:
-        # A torn archive: published bytes truncated after the sidecar
-        # recorded the intended digest (verification catches this and
-        # falls back a generation).
-        frac = float(spec.payload.get("keep_fraction", 0.5))
-        frac = min(max(frac, 0.0), 1.0)
-        os.truncate(final, int(final.stat().st_size * frac))
     spec = fault_point("checkpoint.corrupt")
     if spec is not None:
         _corrupt_file(
@@ -207,7 +169,7 @@ def verify_checkpoint(path: Union[str, pathlib.Path]) -> Dict:
 def load_verified(sim: CheckpointableRun, path: Union[str, pathlib.Path]) -> Dict:
     """Verify integrity, then restore the checkpoint into ``sim``."""
     meta = verify_checkpoint(path)
-    _load_state(sim, path)
+    sim.restore_state(*read_npz(path))
     return meta
 
 

@@ -78,10 +78,10 @@ class SupervisableRun(Protocol):
     :class:`~repro.core.mesh.DCMESHSimulation` satisfies it natively;
     the trajectory-ensemble engine's
     :class:`~repro.ensemble.engine.EnsembleRun` satisfies it by treating
-    one batch *round* as one "MD step" (plus ``save_state``/``load_state``
-    methods that route its partial-ensemble schema through the
-    checkpoint writer).  ``config`` only needs a ``timescale`` attribute
-    when ``degrade_mode`` is enabled.
+    one batch *round* as one "MD step".  Both also satisfy
+    :class:`~repro.resilience.checkpointing.CheckpointableRun`, which
+    the checkpoint writer needs.  ``config`` only needs a ``timescale``
+    attribute when ``degrade_mode`` is enabled.
     """
 
     step_count: int

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import save_checkpoint, load_checkpoint
+from repro.core.checkpoint import (
+    CHECKPOINT_VERSION,
+    load_checkpoint,
+    save_checkpoint,
+)
+from repro.resilience.atomicio import read_npz
 
 from tests.core.test_mesh import make_sim
 
@@ -78,10 +83,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="domains"):
             load_checkpoint(other, ckpt)
 
-    def test_file_is_compressed_npz(self, tmp_path):
+    def test_file_is_npz_archive(self, tmp_path):
         sim = make_sim()
         ckpt = save_checkpoint(sim, tmp_path / "s.npz")
         assert ckpt.exists()
         assert ckpt.stat().st_size > 0
-        with np.load(ckpt) as data:
-            assert "positions" in data
+        arrays, meta = read_npz(ckpt)
+        assert "positions" in arrays
+        assert meta["version"] == CHECKPOINT_VERSION

@@ -13,6 +13,7 @@ from repro.ensemble import (
     run_ensemble,
 )
 from repro.qxmd.sh_kernels import HopPolicy
+from repro.resilience.atomicio import read_npz, write_npz
 from repro.resilience.checkpointing import (
     CheckpointCorruptError,
     restore_newest_verified,
@@ -110,9 +111,9 @@ class TestCheckpointResume:
         with self.make_run() as run:
             run.md_step()
             run.md_step()
-            run.save_state(ck)
+            write_npz(ck, *run.checkpoint_state())
         with self.make_run() as resumed:
-            resumed.load_state(ck)
+            resumed.restore_state(*read_npz(ck))
             assert int(np.count_nonzero(resumed.done)) == 2
             (got,) = resumed.run()
         assert np.array_equal(ref.populations, got.populations)
@@ -124,25 +125,25 @@ class TestCheckpointResume:
         ck = tmp_path / "partial.npz"
         with self.make_run() as run:
             run.md_step()
-            run.save_state(ck)
+            write_npz(ck, *run.checkpoint_state())
         other = EnsembleRun.from_config(
             PATH, EnsembleConfig(ntraj=16, seed=45, batch_size=4))
         with pytest.raises(CheckpointCorruptError, match="fingerprint"):
-            other.load_state(ck)
+            other.restore_state(*read_npz(ck))
         other.close()
 
     def test_policy_in_fingerprint(self, tmp_path):
         ck = tmp_path / "partial.npz"
         with self.make_run() as run:
             run.md_step()
-            run.save_state(ck)
+            write_npz(ck, *run.checkpoint_state())
         other = EnsembleRun.from_config(
             PATH,
             EnsembleConfig(ntraj=16, seed=44, batch_size=4,
                            policy=HopPolicy(dec_correction="edc")),
         )
         with pytest.raises(CheckpointCorruptError, match="fingerprint"):
-            other.load_state(ck)
+            other.restore_state(*read_npz(ck))
         other.close()
 
     def test_shape_mismatch_raises_corrupt(self, tmp_path):
@@ -151,7 +152,7 @@ class TestCheckpointResume:
         ck = tmp_path / "partial.npz"
         with self.make_run() as run:
             run.md_step()
-            run.save_state(ck)
+            write_npz(ck, *run.checkpoint_state())
         short = dataclasses.replace(
             PATH, energies=PATH.energies[:10], nac=PATH.nac[:10],
             kinetic=PATH.kinetic[:10],
@@ -159,7 +160,7 @@ class TestCheckpointResume:
         other = EnsembleRun.from_config(
             short, EnsembleConfig(ntraj=16, seed=44, batch_size=4))
         with pytest.raises(CheckpointCorruptError):
-            other.load_state(ck)
+            other.restore_state(*read_npz(ck))
         other.close()
 
 

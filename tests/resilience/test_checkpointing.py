@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.resilience.atomicio import read_npz, write_npz
 from repro.resilience.checkpointing import (
     CheckpointCorruptError,
     checkpoint_path,
@@ -129,10 +130,9 @@ class TestRoundtripProperty:
 
 class TestLoadValidatesBeforeApply:
     def _tampered_copy(self, src, dst, **overrides):
-        with np.load(src, allow_pickle=False) as data:
-            arrays = {k: data[k] for k in data.files}
+        arrays, meta = read_npz(src)
         arrays.update(overrides)
-        np.savez_compressed(dst, **arrays)
+        write_npz(dst, arrays, meta)
         return dst
 
     def test_bad_domain_shape_leaves_sim_untouched(self, warm_sim, tmp_path):
@@ -158,10 +158,10 @@ class TestLoadValidatesBeforeApply:
 
     def test_missing_domain_array_detected(self, warm_sim, tmp_path):
         good = save_checkpoint(warm_sim, tmp_path / "good.npz")
-        with np.load(good, allow_pickle=False) as data:
-            arrays = {k: data[k] for k in data.files if k != "vloc_1"}
+        arrays, meta = read_npz(good)
+        del arrays["vloc_1"]
         bad = tmp_path / "missing.npz"
-        np.savez_compressed(bad, **arrays)
+        write_npz(bad, arrays, meta)
         victim = make_sim(seed=99)
         before_pos = victim.md_state.positions.copy()
         with pytest.raises(ValueError, match="missing array"):

@@ -16,6 +16,7 @@ from repro.ensemble import (
 )
 from repro.parallel.executor import chunk_slices
 from repro.qxmd.sh_kernels import HopPolicy
+from repro.resilience.atomicio import read_npz, write_npz
 from repro.resilience.checkpointing import CheckpointCorruptError
 from repro.serve.coalesce import run_group_supervised
 
@@ -158,10 +159,10 @@ class TestCheckpoint:
         ckpt = tmp_path / "group.npz"
         half = self.make_group()
         half.md_step()
-        half.save_state(ckpt)
+        write_npz(ckpt, *half.checkpoint_state())
 
         resumed = self.make_group()
-        resumed.load_state(ckpt)
+        resumed.restore_state(*read_npz(ckpt))
         assert resumed.step_count == 1
         assert np.array_equal(resumed.done, half.done)
         results = resumed.run()
@@ -173,13 +174,13 @@ class TestCheckpoint:
 
     def test_fingerprint_mismatch_detected(self, tmp_path):
         ckpt = tmp_path / "group.npz"
-        self.make_group().save_state(ckpt)
+        write_npz(ckpt, *self.make_group().checkpoint_state())
         other = EnsembleRun(
             PATH, [EnsembleMember(4, 3, 7), EnsembleMember(2, 1, 9)],
             POLICY, batch_size=2,
         )
         with pytest.raises(CheckpointCorruptError, match="fingerprint"):
-            other.load_state(ckpt)
+            other.restore_state(*read_npz(ckpt))
 
     def test_old_version_checkpoint_refused(self, tmp_path, monkeypatch):
         """A checkpoint of the previous schema version -- the former
@@ -190,10 +191,10 @@ class TestCheckpoint:
         monkeypatch.setattr(engine, "ENSEMBLE_CKPT_VERSION", current - 1)
         half = self.make_group()
         half.md_step()
-        half.save_state(ckpt)
+        write_npz(ckpt, *half.checkpoint_state())
         monkeypatch.setattr(engine, "ENSEMBLE_CKPT_VERSION", current)
         with pytest.raises(CheckpointCorruptError, match="fingerprint"):
-            self.make_group().load_state(ckpt)
+            self.make_group().restore_state(*read_npz(ckpt))
 
     def test_supervised_group_equals_unsupervised(self, tmp_path):
         members = [EnsembleMember(5, 2, 31), EnsembleMember(3, 0, 32)]

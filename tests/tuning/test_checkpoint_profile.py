@@ -1,10 +1,7 @@
 """Checkpoints carry the active tuning profile; resumes replay it."""
 
-import json
-
-import numpy as np
-
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.resilience.atomicio import read_npz, write_npz
 from repro.tuning.profile import (
     TuningProfile,
     active_profile,
@@ -23,8 +20,7 @@ class TestCheckpointProfile:
                                 source="test")
         with active_profile(profile):
             path = save_checkpoint(sim, tmp_path / "s.npz")
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(bytes(data["meta"].tobytes()).decode())
+        _, meta = read_npz(path)
         assert meta["tuning_profile"]["source"] == "test"
         assert meta["tuning_profile"]["overrides"] == {
             "lfd.nonlocal": dict(profile.params_for("lfd.nonlocal"))
@@ -54,13 +50,9 @@ class TestCheckpointProfile:
         sim = make_sim(seed=4)
         sim.run(1)
         path = save_checkpoint(sim, tmp_path / "s.npz")
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(arrays["meta"].tobytes()).decode())
+        arrays, meta = read_npz(path)
         meta.pop("tuning_profile")
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
-                                       dtype=np.uint8)
-        np.savez_compressed(path, **arrays)
+        write_npz(path, arrays, meta)
 
         marker = TuningProfile({"lfd.kin_prop": {"block_size": 16}})
         before = get_active_profile()
