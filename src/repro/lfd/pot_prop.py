@@ -50,7 +50,10 @@ def potential_phase_step(
     phase:
         Optional precomputed phase field (re-used across orbital sets and
         QD sub-steps while the potential is frozen -- the shadow-dynamics
-        amortization).
+        amortization), either on the grid or already broadcast to the
+        full ``(grid..., norb)`` shape of ``wf.psi``.  The full shape
+        multiplies in one contiguous pass; the grid shape is broadcast
+        over the short orbital axis on every call.
     backend:
         Array-API substrate; ``None``/``"numpy"`` is the pre-refactor
         native path, anything else applies the phase in that namespace
@@ -72,16 +75,17 @@ def potential_phase_step(
         # One complex multiply per point-orbital (see costs.pot_prop_half).
         pts = wf.grid.npoints * wf.norb
         trace_charge(6.0 * pts, 2.0 * wf.psi.itemsize * pts)
-        if wf.dtype == np.complex64:
-            phase_cast = phase.astype(np.complex64)
-        else:
-            phase_cast = phase
+        phase_cast = phase.astype(wf.dtype, copy=False)
         if b.native:
-            wf.psi *= phase_cast[..., None]
+            if phase.shape == wf.psi.shape:
+                wf.psi *= phase_cast
+            else:
+                wf.psi *= phase_cast[..., None]
         else:
             xp = b.xp
-            psi = xp.asarray(wf.psi) * xp.expand_dims(
-                xp.asarray(phase_cast), axis=-1
-            )
+            factor = xp.asarray(phase_cast)
+            if phase.shape != wf.psi.shape:
+                factor = xp.expand_dims(factor, axis=-1)
+            psi = xp.asarray(wf.psi) * factor
             wf.psi[...] = to_numpy(psi).astype(wf.dtype, copy=False)
     return phase

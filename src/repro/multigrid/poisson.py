@@ -209,17 +209,19 @@ class PoissonMultigrid:
         xp = b.xp
         x_rho = b.asarray(rho)
         f = (-4.0 * xp.pi) * (x_rho - xp.mean(x_rho))
+        stats = MultigridStats()
+        f_norm = _norm_xp(xp, f)
+        if f_norm == 0.0:
+            # The only mean-free solution of nabla^2 V = 0 is V = 0; an
+            # initial guess is stale here, not a starting point.
+            stats.converged = True
+            stats.residual_norms.append(0.0)
+            return np.zeros(grid.shape), stats
         if initial_guess is None:
             u = xp.zeros(grid.shape)
         else:
             u = b.asarray(np.asarray(initial_guess, dtype=float))
         u = u - xp.mean(u)
-        stats = MultigridStats()
-        f_norm = _norm_xp(xp, f)
-        if f_norm == 0.0:
-            stats.converged = True
-            stats.residual_norms.append(0.0)
-            return to_numpy(u), stats
         stats.residual_norms.append(_norm_xp(xp, residual_xp(xp, u, f, grid.spacing)))
         with trace_span("poisson.solve", "hartree", npoints=grid.npoints,
                         nlevels=self.nlevels, backend=b.name):

@@ -94,6 +94,15 @@ class TestMultigrid:
         assert stats.converged
         assert np.all(v == 0.0)
 
+    def test_zero_rhs_ignores_initial_guess(self, grid16, rng):
+        """A zero density has V = 0, whatever the guess."""
+        mg = PoissonMultigrid(grid16)
+        guess = rng.standard_normal(grid16.shape)
+        v, stats = mg.solve(np.zeros(grid16.shape), initial_guess=guess)
+        assert stats.converged
+        assert stats.cycles == 0
+        assert np.all(v == 0.0)
+
     def test_initial_guess_speeds_convergence(self, grid32, rng):
         rho = random_density(grid32, rng)
         mg = PoissonMultigrid(grid32)
