@@ -109,14 +109,25 @@ class HealthGuard:
                 f"{name}: {bad} non-finite value(s) detected"
             )
 
-    def check_wavefunction(self, wf: "WaveFunctionSet", where: str = "") -> None:
-        """Finiteness + norm-drift check of one wave-function set."""
+    def check_wavefunction(
+        self,
+        wf: "WaveFunctionSet",
+        where: str = "",
+        norms: Optional[np.ndarray] = None,
+    ) -> None:
+        """Finiteness + norm-drift check of one wave-function set.
+
+        ``norms`` stands in for ``wf.norms()``: the QD propagator passes
+        the norms its state will have once a pending nonlocal factor is
+        applied (a factor that keeps every column finite or not).
+        """
         ctx = f" at {where}" if where else ""
         if self.config.check_orbitals:
             self.check_array(wf.psi, f"orbitals{ctx}")
         if self.config.check_norms:
             self.checks_run += 1
-            norms = wf.norms()
+            if norms is None:
+                norms = wf.norms()
             drift = float(np.max(np.abs(norms - 1.0)))
             if drift > self.config.norm_tol:
                 worst = int(np.argmax(np.abs(norms - 1.0)))
