@@ -76,41 +76,10 @@ def _install_profile(args: argparse.Namespace) -> None:
     print(f"tuning profile: {args.tuning_profile} (tuned: {tuned})")
 
 
-#: Kernel tunables whose ``backend`` parameter selects the array-API
-#: substrate (the ``parallel.executor`` ``backend`` is the executor kind).
-_ARRAY_BACKEND_TUNABLES = ("lfd.kin_prop", "lfd.nonlocal", "multigrid.poisson")
-
-
-def _install_array_backend(args: argparse.Namespace) -> None:
-    """Layer ``--array-backend`` over the active tuning profile.
-
-    Must run *after* :func:`_install_profile`: an explicit CLI substrate
-    choice overrides whatever a persisted profile recorded, matching the
-    ``resolve_backend`` precedence (explicit > profile > default).
-    """
-    name = getattr(args, "array_backend", None)
-    if not name:
-        return
-    from repro.backend import get_backend
-    from repro.tuning import TuningProfile, set_active_profile
-    from repro.tuning.profile import get_active_profile
-
-    resolved = get_backend(name).name
-    base = get_active_profile().to_dict()
-    overrides = {tid: dict(p) for tid, p in base["overrides"].items()}
-    for tid in _ARRAY_BACKEND_TUNABLES:
-        overrides.setdefault(tid, {})["backend"] = resolved
-    set_active_profile(
-        TuningProfile(overrides, source=f"{base['source']}+array-backend")
-    )
-    print(f"array backend: {resolved}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     tracer = _install_tracer(args)
     try:
         _install_profile(args)
-        _install_array_backend(args)
         return _run_body(args)
     finally:
         _finish_tracer(args, tracer)
@@ -133,7 +102,6 @@ def _run_body(args: argparse.Namespace) -> int:
         "e0": args.e0,
         "omega": args.omega,
         "seed": args.seed,
-        "array_backend": args.array_backend,
     })
     extras = {}
     if args.hang_timeout is not None:
@@ -259,7 +227,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     tracer = _install_tracer(args)
     try:
         _install_profile(args)
-        _install_array_backend(args)
         return _spectrum_body(args)
     finally:
         _finish_tracer(args, tracer)
@@ -322,7 +289,6 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     tracer = _install_tracer(args)
     try:
         _install_profile(args)
-        _install_array_backend(args)
         return _ensemble_body(args)
     finally:
         _finish_tracer(args, tracer)
@@ -348,7 +314,6 @@ def _ensemble_body(args: argparse.Namespace) -> int:
         substeps=args.substeps,
         policy=policy,
         batch_size=args.batch_size,
-        array_backend=args.array_backend,
     )
     extras = {}
     if args.hang_timeout is not None and args.backend == "process":
@@ -609,11 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write supervisor events to this JSON-lines file")
     run.add_argument("--trace-out",
                      help="write a Chrome trace-event JSON of this run")
-    run.add_argument("--array-backend",
-                     choices=("numpy", "array_api_strict", "auto"),
-                     default=None,
-                     help="array-API substrate for the hot kernels "
-                          "(default: resolve from the tuning profile)")
     run.add_argument("--tuning-profile",
                      help="activate a tuned parameter profile written by "
                           "'tune --profile-out'")
@@ -636,11 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "propagation loop")
     spectrum.add_argument("--trace-out",
                           help="write a Chrome trace-event JSON of this run")
-    spectrum.add_argument("--array-backend",
-                          choices=("numpy", "array_api_strict", "auto"),
-                          default=None,
-                          help="array-API substrate for the propagation "
-                               "kernels")
     spectrum.add_argument("--tuning-profile",
                           help="activate a tuned parameter profile written "
                                "by 'tune --profile-out'")
@@ -751,10 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "this .npz")
     ens.add_argument("--trace-out",
                      help="write a Chrome trace-event JSON of this run")
-    ens.add_argument("--array-backend",
-                     choices=("numpy", "array_api_strict", "auto"),
-                     default=None,
-                     help="array-API substrate for the batched FSSH kernels")
     ens.add_argument("--tuning-profile",
                      help="activate a tuned parameter profile written by "
                           "'tune --profile-out'")

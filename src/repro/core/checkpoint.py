@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Tuple, Union
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.qxmd.surface_hopping import SurfaceHoppingState
 from repro.resilience.atomicio import read_npz, write_npz
 from repro.tuning.profile import (
@@ -53,9 +52,6 @@ def checkpoint_state(sim: DCMESHSimulation) -> Tuple[Dict[str, np.ndarray], Dict
         # Active tuning profile: a resumed run must replay the identical
         # tuned parameters (optional key).
         "tuning_profile": get_active_profile().to_dict(),
-        # Array-API substrate the run was produced on (optional key;
-        # pre-substrate checkpoints simply lack it).
-        "array_backend": sim.config.array_backend or "numpy",
         "rng_state": sim.rng.bit_generator.state,
     }
     if sim._prev_forces is not None:
@@ -146,11 +142,8 @@ def restore_state(
         if "tuning_profile" in meta
         else None  # pre-tuning checkpoint: leave the active profile
     )
-    array_backend = meta.get("array_backend")
-    if array_backend is not None:
-        # Validate eagerly (phase 1): an unknown substrate name must
-        # fail before any state is applied.
-        array_backend = get_backend(str(array_backend)).name
+    # Older checkpoints also carry an "array_backend" key, from when the
+    # kernels had selectable array-API substrates; it is ignored.
 
     # ---- phase 2: apply (cannot fail on shape grounds anymore). ----
     sim.md_state.positions = arrays["positions"].copy()
@@ -180,10 +173,6 @@ def restore_state(
     sim.rng.bit_generator.state = rng_state
     if profile is not None:
         set_active_profile(profile)
-    if array_backend is not None:
-        # Resume on the substrate the checkpoint was produced on so
-        # the trajectory continues through the same kernel paths.
-        sim.config.array_backend = array_backend
 
 
 def save_checkpoint(sim: DCMESHSimulation, path: Union[str, pathlib.Path]) -> pathlib.Path:

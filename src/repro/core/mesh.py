@@ -67,7 +67,6 @@ class DCMESHConfig:
     decoherence_c: Optional[float] = None
     hop_policy: Optional["HopPolicy"] = None
     seed: int = 1234
-    array_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.nscf < 1 or self.ncg < 0 or self.norb_extra < 1:
@@ -81,12 +80,6 @@ class DCMESHConfig:
                 f"unknown kin_variant {self.kin_variant!r}; "
                 f"options: {sorted(KIN_PROP_VARIANTS)}"
             )
-        if self.array_backend is not None:
-            from repro.backend import get_backend
-
-            # Validate eagerly and normalize "auto"; the name (a plain
-            # string) is what crosses the executor pickling boundary.
-            self.array_backend = get_backend(self.array_backend).name
 
 
 @dataclass(frozen=True)
@@ -111,15 +104,13 @@ def _lfd_domain_task(args: tuple) -> np.ndarray:
 
     ``args`` is ``(local_grid, psi, occupations, vloc, dsci,
     use_corrector, conserve_charge, kin_variant, dt_qd, n_qd, sampler,
-    guard, array_backend)``.  The adiabatic orbitals are never modified
-    (shadow dynamics); only the remapped occupations come back.
-    Read-only shared-memory inputs are copied before use under the
-    process backend.  ``array_backend`` travels as a plain name (or
-    None); the worker re-resolves the namespace in its own interpreter.
+    guard)``.  The adiabatic orbitals are never modified (shadow
+    dynamics); only the remapped occupations come back.  Read-only
+    shared-memory inputs are copied before use under the process
+    backend.
     """
     (local_grid, psi, occupations, vloc, dsci, use_corrector,
-     conserve_charge, kin_variant, dt_qd, n_qd, sampler, guard,
-     array_backend) = args
+     conserve_charge, kin_variant, dt_qd, n_qd, sampler, guard) = args
     if not psi.flags.writeable:
         psi = psi.copy()
     basis = WaveFunctionSet(local_grid, psi.shape[-1], data=psi, copy=False)
@@ -134,12 +125,11 @@ def _lfd_domain_task(args: tuple) -> np.ndarray:
                 dtype=basis.dtype,
                 data=basis.psi[..., lumo:],
             )
-            corrector = NonlocalCorrector(ref, dsci, backend=array_backend)
+            corrector = NonlocalCorrector(ref, dsci)
     prop = QDPropagator(
         prop_wf,
         vloc,
-        PropagatorConfig(dt=dt_qd, kin_variant=kin_variant,
-                         backend=array_backend),
+        PropagatorConfig(dt=dt_qd, kin_variant=kin_variant),
         corrector=corrector,
         a_of_t=sampler,
         guard=guard,
@@ -321,7 +311,7 @@ class DCMESHSimulation:
             (st.domain.local_grid, st.wf.psi, st.occupations, st.vloc,
              dsci, use_corrector, cfg.conserve_charge, cfg.kin_variant,
              ts.dt_qd, ts.n_qd, self._domain_a_of_t(st.domain.alpha),
-             self.health_guard, cfg.array_backend)
+             self.health_guard)
             for st, dsci in zip(self.dc.states, scissors)
         ]
         new_occs = self._executor().map(

@@ -52,9 +52,7 @@ class EnsembleConfig:
     ``istate=None`` starts every trajectory on the highest state of the
     path (the photoexcited carrier relaxing downward).  ``batch_size=
     None`` resolves from the active tuning profile's ``ensemble.swarm``
-    tunable.  ``array_backend`` names the array-API substrate for the
-    batched FSSH kernels (``None`` = NumPy); it travels to the
-    workers as a plain name, so process-spawn batches use it too.
+    tunable.
     """
 
     ntraj: int = 32
@@ -63,7 +61,6 @@ class EnsembleConfig:
     substeps: int = 20
     policy: HopPolicy = field(default_factory=HopPolicy)
     batch_size: Optional[int] = None
-    array_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.ntraj < 1:
@@ -74,12 +71,6 @@ class EnsembleConfig:
             raise ValueError("batch_size must be positive (or None)")
         if self.istate is not None and self.istate < 0:
             raise ValueError("istate must be non-negative (or None)")
-        if self.array_backend is not None:
-            from repro.backend import get_backend
-
-            # Validate and canonicalize eagerly ("auto" -> "numpy"), so
-            # every batch task carries a resolved name.
-            self.array_backend = get_backend(self.array_backend).name
 
 
 def resolve_batch_size(batch_size: Optional[int]) -> int:
@@ -182,18 +173,16 @@ def _swarm_task(args: Tuple[Any, ...]) -> BatchResult:
     """Executor task: sweep one stack of segments over the full path.
 
     ``args`` is ``(energies, nac, kinetic, dt, segments, substeps,
-    policy, array_backend)`` with ``segments`` a contiguous tuple of
+    policy)`` with ``segments`` a contiguous tuple of
     :class:`Segment`.  Self-contained and placement-independent: the RNG
     streams come from ``(member seed, member-local index)`` carried in
     the segments, never from worker state, and rows of different members
     share the stacked kernel calls while staying numerically
-    independent.  ``array_backend`` is a plain substrate name (or
-    ``None``), resolved inside the worker.  Inputs may be read-only
+    independent.  Inputs may be read-only
     shared-memory views; they are only read, and every returned array
     is fresh.
     """
-    (energies, nac, kinetic, dt, segments, substeps, policy,
-     array_backend) = args
+    energies, nac, kinetic, dt, segments, substeps, policy = args
     nsteps, nstates = energies.shape
     lo, hi = segments[0].lo, segments[-1].hi
     amps = np.zeros((hi - lo, nstates), dtype=np.complex128)
@@ -213,7 +202,7 @@ def _swarm_task(args: Tuple[Any, ...]) -> BatchResult:
         assert swarm.ke_factor is not None
         ke = kinetic[s] * swarm.ke_factor
         step_swarm(swarm, energies[s], nac[s], dt, ke, xi, policy,
-                   substeps, backend=array_backend)
+                   substeps)
         populations[s] = swarm.populations
         actives[s] = swarm.active
     assert swarm.hop_counts is not None and swarm.ke_factor is not None
@@ -272,7 +261,6 @@ class EnsembleRun:
         members: Sequence[EnsembleMember],
         policy: HopPolicy,
         substeps: int = 20,
-        array_backend: Optional[str] = None,
         batch_size: Optional[int] = None,
         round_size: int = 1,
         executor: Optional[DomainExecutor] = None,
@@ -287,7 +275,6 @@ class EnsembleRun:
         self.members = tuple(members)
         self.policy = policy
         self.substeps = int(substeps)
-        self.array_backend = array_backend
         self.batch_size = resolve_batch_size(batch_size)
         self.batches = pack_segments(self.members, self.batch_size)
         self.round_size = int(round_size)
@@ -333,7 +320,6 @@ class EnsembleRun:
             [EnsembleMember(config.ntraj, istate, config.seed)],
             config.policy,
             substeps=config.substeps,
-            array_backend=config.array_backend,
             batch_size=config.batch_size,
             round_size=round_size,
             executor=make_executor(backend, workers=workers,
@@ -365,7 +351,7 @@ class EnsembleRun:
     def _batch_item(self, index: int) -> Tuple[Any, ...]:
         return (self.path.energies, self.path.nac, self.path.kinetic,
                 self.path.dt, self.batches[index], self.substeps,
-                self.policy, self.array_backend)
+                self.policy)
 
     def _apply(self, index: int, res: BatchResult) -> None:
         lo, hi = res.lo, res.hi
@@ -468,9 +454,9 @@ class EnsembleRun:
             "dt": self.path.dt,
             "policy": [p.hop_rescale, p.hop_reject,
                        p.dec_correction or "", p.edc_parameter],
-            # Cross-substrate trajectories agree only to ~1e-10, so a
-            # resume on a different substrate must be rejected outright.
-            "array_backend": self.array_backend or "numpy",
+            # A constant since the array-API substrate axis was retired:
+            # it keeps the digest of checkpoints written before then.
+            "array_backend": "numpy",
         })
 
     def checkpoint_state(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:

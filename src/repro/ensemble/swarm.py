@@ -19,11 +19,10 @@ ordinal pinned to 0 -- so the stream depends on the trajectory's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend, to_numpy
 from repro.ensemble.path import ClassicalPath
 from repro.parallel.executor import chunk_rng
 from repro.qxmd.sh_kernels import (
@@ -133,7 +132,6 @@ def step_swarm(
     xi: np.ndarray,
     policy: HopPolicy,
     substeps: int = 20,
-    backend: Union[str, ArrayBackend, None] = None,
 ) -> np.ndarray:
     """One full U_SH step for every trajectory; returns accepted-hop mask.
 
@@ -142,27 +140,16 @@ def step_swarm(
     arrays.  ``kinetic`` and ``xi`` are per-trajectory: the caller
     supplies ``path.kinetic[s] * swarm.ke_factor`` and one uniform draw
     per trajectory from its :func:`trajectory_rng` stream.
-
-    ``backend`` selects the array-API substrate for the amplitude-heavy
-    kernels (propagation, decoherence, hop probabilities); hop selection
-    and pricing stay on the host either way.  The swarm's stored state
-    is always NumPy -- the substrate is internal to the step.
     """
     assert swarm.ke_factor is not None and swarm.hop_counts is not None
-    b = get_backend(backend)
-    xp = b.xp
-    ex = b.asarray(energies)
-    nacx = b.asarray(nac)
-    actx = b.asarray(swarm.active)
-    cx = propagate_amplitudes_batch_xp(
-        xp, b.asarray(swarm.amplitudes), ex, nacx, dt, substeps
+    c = propagate_amplitudes_batch_xp(
+        np, swarm.amplitudes, energies, nac, dt, substeps
     )
     if policy.dec_correction == "edc":
-        cx = apply_edc_batch_xp(
-            xp, cx, actx, ex, dt, b.asarray(kinetic), policy.edc_parameter
+        c = apply_edc_batch_xp(
+            np, c, swarm.active, energies, dt, kinetic, policy.edc_parameter
         )
-    g = to_numpy(hop_probabilities_batch_xp(xp, cx, actx, nacx, dt))
-    c = to_numpy(cx)
+    g = hop_probabilities_batch_xp(np, c, swarm.active, nac, dt)
     target = select_hops(g, xi)
     attempted = target >= 0
     safe_target = np.where(attempted, target, swarm.active)

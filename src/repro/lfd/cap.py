@@ -12,11 +12,10 @@ exp(-dt W(r)) once per QD step (exact for the CAP term of the split).
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend, to_numpy
 from repro.grids.grid import Grid3D
 
 
@@ -25,7 +24,6 @@ def cos2_absorber(
     width_points: int,
     strength: float,
     axes: Sequence[int] = (0, 1, 2),
-    backend: Union[str, ArrayBackend, None] = None,
 ) -> np.ndarray:
     """A cos^2-ramped absorbing profile W(r) >= 0 near both faces.
 
@@ -40,16 +38,16 @@ def cos2_absorber(
         Peak absorption rate W_max (1/a.u. time).
     axes:
         Which Cartesian axes carry absorbers.
-    backend:
-        Array-API substrate the profile is built in (one body for every
-        namespace); the result is returned as host NumPy.
     """
     if width_points < 1:
         raise ValueError("width_points must be at least 1")
     if strength < 0:
         raise ValueError("strength must be non-negative")
-    xp = get_backend(backend).xp
-    w = xp.zeros(grid.shape)
+    # W on the face slabs of one axis, innermost point last.
+    ramp = strength * np.sin(
+        0.5 * np.pi * (np.arange(width_points) + 1) / width_points
+    ) ** 2
+    w = np.zeros(grid.shape)
     for axis in axes:
         if axis not in (0, 1, 2):
             raise ValueError("axes must be within 0..2")
@@ -59,16 +57,11 @@ def cos2_absorber(
                 f"absorber width {width_points} leaves no interior on axis "
                 f"{axis} (n = {n})"
             )
-        profile = xp.zeros((n,))
-        ramp = xp.sin(
-            0.5 * xp.pi * (xp.arange(width_points) + 1) / width_points
-        ) ** 2
-        profile[:width_points] = xp.flip(ramp)
-        profile[n - width_points:] = ramp
-        shape = [1, 1, 1]
-        shape[axis] = n
-        w = xp.maximum(w, strength * xp.reshape(profile, tuple(shape)))
-    return to_numpy(w)
+        lead = np.moveaxis(w, axis, 0)  # a view, ramp axis first
+        low, high = lead[:width_points], lead[n - width_points:]
+        np.maximum(low, ramp[::-1, None, None], out=low)
+        np.maximum(high, ramp[:, None, None], out=high)
+    return w
 
 
 def ionization_yield(initial_norms: np.ndarray, wf, occupations) -> float:

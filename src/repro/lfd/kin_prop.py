@@ -47,11 +47,10 @@ from __future__ import annotations
 
 import cmath
 import functools
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend, to_numpy
 from repro.constants import M_ELECTRON
 from repro.grids.stencil import (
     PairSplitCoefficients,
@@ -322,35 +321,6 @@ KIN_PROP_VARIANTS: Dict[str, Callable[..., None]] = {
 }
 
 
-# --------------------------------------------------------------------- #
-# portable array-API pass (any namespace)
-# --------------------------------------------------------------------- #
-def kin_prop_pass_xp(xp: Any, psi: Any, coeff: PairSplitCoefficients, axis: int) -> Any:  # dclint: disable=DCL006 -- timed by kinetic_step
-    """One splitting pass in an arbitrary array-API namespace ``xp``.
-
-    Computes the generic tridiagonal-shaped update of Algorithm 1,
-
-        psi'[i] = al * psi[i] + bl[i] * psi[i-1] + bu[i] * psi[i+1],
-
-    with periodic neighbours expressed as ``roll`` (no fancy indexing --
-    the array API has none) so the identical source runs under NumPy,
-    array-api-strict and, later, CuPy/JAX/PyTorch namespaces.  Exactly
-    one of ``bl[i]``/``bu[i]`` is non-zero per point, so this is the same
-    floating-point program as the pair-update variants up to the addition
-    of an exact zero.  Returns the updated array (out of place).
-    """
-    n = psi.shape[axis]
-    if coeff.n != n:
-        raise ValueError("coefficient length does not match grid axis")
-    bshape = [1] * len(psi.shape)
-    bshape[axis] = n
-    bl = xp.reshape(xp.asarray(coeff.bl), tuple(bshape))
-    bu = xp.reshape(xp.asarray(coeff.bu), tuple(bshape))
-    down = xp.roll(psi, 1, axis=axis)   # psi[i-1] (periodic)
-    up = xp.roll(psi, -1, axis=axis)    # psi[i+1] (periodic)
-    return coeff.al * psi + bl * down + bu * up
-
-
 def kinetic_step(
     wf: WaveFunctionSet,
     dt: float,
@@ -358,7 +328,6 @@ def kinetic_step(
     variant: str = str(DEFAULT_PARAMS["lfd.kin_prop"]["variant"]),
     block_size: Optional[int] = None,
     mass: float = M_ELECTRON,
-    backend: Union[str, ArrayBackend, None] = None,
 ) -> None:
     """Propagate ``wf`` by ``exp(-i dt T / hbar)`` using a chosen kernel variant.
 
@@ -376,44 +345,26 @@ def kinetic_step(
     to :func:`kin_prop_blocked`, which resolves the tile width from the
     active TuningProfile.  ``variant`` defaults to the ``lfd.kin_prop``
     entry of :data:`repro.tuning.defaults.DEFAULT_PARAMS`.
-
-    ``backend`` selects the array-API substrate.  ``None``/``"numpy"``
-    runs the pre-refactor native kernels bit-identically; any other
-    namespace routes every variant through :func:`kin_prop_pass_xp`
-    (variants are an execution-schedule dimension, meaningful only on the
-    native substrate) with ``asarray``/``to_numpy`` conversion at the
-    kernel boundary -- the same shape a device-transfer boundary takes.
     """
     if variant not in KIN_PROP_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; options: {sorted(KIN_PROP_VARIANTS)}")
-    b = get_backend(backend)
-    with trace_span("kin_prop", "kinetic", variant=variant, backend=b.name):
+    with trace_span("kin_prop", "kinetic", variant=variant):
         pts = wf.grid.npoints * wf.norb
-        if variant == "gemm" and b.native:
+        if variant == "gemm":
             # 8 real flops per complex multiply-add, n_d of them per
             # point-orbital along each axis; five read-write sweeps over
             # psi (three GEMMs, the z-leading copy and the write-back).
             trace_charge(8.0 * sum(wf.grid.shape) * pts,
                          10.0 * wf.psi.itemsize * pts)
-        else:
-            # 9 pair-split passes, 14 real flops and 3 complex-word
-            # streams per point-orbital per pass (see
-            # repro.lfd.costs.kin_prop_pass).
-            trace_charge(9.0 * 14.0 * pts, 9.0 * 3.0 * wf.psi.itemsize * pts)
-        if not b.native:
-            xp = b.xp
-            single = wf.dtype == np.complex64
-            psi = xp.asarray(wf.psi)
-            for axis in range(3):
-                n = wf.grid.shape[axis]
-                h = wf.grid.spacing[axis]
-                for coeff in strang_passes(n, h, dt, theta=theta[axis], mass=mass):
-                    psi = kin_prop_pass_xp(xp, psi, coeff, axis)
-                    if single:
-                        # mirror the native kernels' per-pass rounding
-                        psi = xp.astype(psi, xp.complex64, copy=False)
-            wf.psi[...] = to_numpy(psi).astype(wf.dtype, copy=False)
+            kin_prop_gemm(wf.psi, [
+                strang_operator(n, float(h), float(dt), float(th),
+                                float(mass), wf.dtype)
+                for n, h, th in zip(wf.grid.shape, wf.grid.spacing, theta)
+            ])
             return
+        # 9 pair-split passes, 14 real flops and 3 complex-word streams
+        # per point-orbital per pass (see repro.lfd.costs.kin_prop_pass).
+        trace_charge(9.0 * 14.0 * pts, 9.0 * 3.0 * wf.psi.itemsize * pts)
         if variant == "baseline":
             data = wf.to_aos()
             for axis in range(3):
@@ -422,13 +373,6 @@ def kinetic_step(
                 for coeff in strang_passes(n, h, dt, theta=theta[axis], mass=mass):
                     kin_prop_baseline(data, coeff, axis)
             wf.from_aos(data)
-            return
-        if variant == "gemm":
-            kin_prop_gemm(wf.psi, [
-                strang_operator(n, float(h), float(dt), float(th),
-                                float(mass), wf.dtype)
-                for n, h, th in zip(wf.grid.shape, wf.grid.spacing, theta)
-            ])
             return
         kernel = KIN_PROP_VARIANTS[variant]
         for axis in range(3):

@@ -9,25 +9,18 @@ electron-propagation kernel of Table II.
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend, to_numpy
 from repro.constants import HBAR
 from repro.lfd.wavefunction import WaveFunctionSet
 from repro.obs import trace_charge, trace_span
 
 
 def potential_phase(  # dclint: disable=DCL006 -- timed by potential_phase_step
-    vloc: np.ndarray,
-    dt: float,
-    backend: Union[str, ArrayBackend, None] = None,
+    vloc: np.ndarray, dt: float
 ) -> np.ndarray:
     """The diagonal phase field exp(-i dt v_loc / hbar)."""
-    b = get_backend(backend)
-    v = b.asarray(np.asarray(vloc, dtype=float))
-    return to_numpy(b.xp.exp((-1j * (dt / HBAR)) * v))
+    return np.exp((-1j * (dt / HBAR)) * np.asarray(vloc, dtype=float))
 
 
 def potential_phase_step(
@@ -35,7 +28,6 @@ def potential_phase_step(
     vloc: np.ndarray,
     dt: float,
     phase: np.ndarray | None = None,
-    backend: Union[str, ArrayBackend, None] = None,
 ) -> np.ndarray:
     """Apply exp(-i dt v_loc / hbar) to every orbital in place.
 
@@ -54,38 +46,25 @@ def potential_phase_step(
         full ``(grid..., norb)`` shape of ``wf.psi``.  The full shape
         multiplies in one contiguous pass; the grid shape is broadcast
         over the short orbital axis on every call.
-    backend:
-        Array-API substrate; ``None``/``"numpy"`` is the pre-refactor
-        native path, anything else applies the phase in that namespace
-        with boundary conversion.
 
     Returns
     -------
-    The phase field actually used (always host NumPy), so callers can
-    cache it across sub-steps regardless of the substrate.
+    The phase field actually used, so callers can cache it across
+    sub-steps.
     """
-    b = get_backend(backend)
     if phase is None:
         if vloc.shape != wf.grid.shape:
             raise ValueError(
                 f"potential shape {vloc.shape} != grid shape {wf.grid.shape}"
             )
-        phase = potential_phase(vloc, dt, backend=b)
-    with trace_span("pot_prop", "potential", backend=b.name):
+        phase = potential_phase(vloc, dt)
+    with trace_span("pot_prop", "potential"):
         # One complex multiply per point-orbital (see costs.pot_prop_half).
         pts = wf.grid.npoints * wf.norb
         trace_charge(6.0 * pts, 2.0 * wf.psi.itemsize * pts)
         phase_cast = phase.astype(wf.dtype, copy=False)
-        if b.native:
-            if phase.shape == wf.psi.shape:
-                wf.psi *= phase_cast
-            else:
-                wf.psi *= phase_cast[..., None]
+        if phase.shape == wf.psi.shape:
+            wf.psi *= phase_cast
         else:
-            xp = b.xp
-            factor = xp.asarray(phase_cast)
-            if phase.shape != wf.psi.shape:
-                factor = xp.expand_dims(factor, axis=-1)
-            psi = xp.asarray(wf.psi) * factor
-            wf.psi[...] = to_numpy(psi).astype(wf.dtype, copy=False)
+            wf.psi *= phase_cast[..., None]
     return phase

@@ -34,11 +34,10 @@ two for order 4), so each is one contiguous multiply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend, to_numpy
 from repro.lfd.kin_prop import kinetic_step
 from repro.lfd.nonlocal_corr import NonlocalCorrector
 from repro.lfd.pot_prop import potential_phase, potential_phase_step
@@ -73,13 +72,6 @@ class PropagatorConfig:
         Re-normalize orbital norms every k steps (0 = never).  The
         propagator is unitary to round-off, so this is a guard, not a
         physics knob.
-    backend:
-        Array-API substrate for the propagation kernels (name or
-        :class:`~repro.backend.ArrayBackend` handle); None resolves from
-        the active tuning profile, falling back to ``"numpy"`` for
-        profiles persisted before the backend dimension existed.  The
-        resolved handle pickles by name, so configs cross the
-        process-spawn executor boundary intact.
     """
 
     dt: float = 0.05
@@ -88,7 +80,6 @@ class PropagatorConfig:
     nl_normalize: bool = True
     renormalize_every: int = 0
     order: int = 2
-    backend: Union[str, ArrayBackend, None] = None
 
     def __post_init__(self) -> None:
         from repro.tuning.profile import get_active_profile
@@ -98,9 +89,6 @@ class PropagatorConfig:
             self.kin_variant = str(params["variant"])
         if self.block_size is None:
             self.block_size = int(params["block_size"])  # type: ignore[arg-type]
-        if self.backend is None:
-            self.backend = str(params.get("backend", "numpy"))
-        self.backend = get_backend(self.backend)
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.block_size < 1:
@@ -201,7 +189,7 @@ class QDPropagator:
         """
         phase = self._phases.get(dt)
         if phase is None:
-            half = potential_phase(self.vloc, dt / 2.0, backend=self.config.backend)
+            half = potential_phase(self.vloc, dt / 2.0)
             phase = np.ascontiguousarray(
                 np.broadcast_to(half[..., None], self.wf.psi.shape),
                 dtype=self.wf.dtype,
@@ -290,32 +278,20 @@ class QDPropagator:
                 self._nonlocal(dt)
                 phase = self._phase(dt)
                 potential_phase_step(self.wf, self.vloc, dt / 2.0,
-                                     phase=phase, backend=cfg.backend)
+                                     phase=phase)
                 kinetic_step(
                     self.wf,
                     dt,
                     theta=self._theta(t + dt / 2.0),
                     variant=cfg.kin_variant,
                     block_size=cfg.block_size,
-                    backend=cfg.backend,
                 )
                 potential_phase_step(self.wf, self.vloc, dt / 2.0,
-                                     phase=phase, backend=cfg.backend)
+                                     phase=phase)
                 t += dt
             if self._cap_factor is not None:
                 self._flush()
-                b = get_backend(cfg.backend)
-                if b.native:
-                    self.wf.psi *= self._cap_factor[..., None].astype(self.wf.dtype)
-                else:
-                    xp = b.xp
-                    damp = xp.asarray(
-                        self._cap_factor.astype(self.wf.dtype, copy=False)
-                    )
-                    psi = xp.asarray(self.wf.psi) * xp.expand_dims(damp, axis=-1)
-                    self.wf.psi[...] = to_numpy(psi).astype(
-                        self.wf.dtype, copy=False
-                    )
+                self.wf.psi *= self._cap_factor[..., None].astype(self.wf.dtype)
         spec = fault_point("lfd.nan")
         if spec is not None:
             orb = int(spec.payload.get("orbital", 0)) % self.wf.norb

@@ -11,19 +11,17 @@ mode undetermined, so the right-hand side is projected to zero mean and
 the returned potential is mean-free.
 
 The solve loop, the V-cycle and the coarsest-level FFT solve have one
-body each, written on the array-API subset and run in the backend's
-namespace ``xp`` (NumPy is one such namespace); host arrays cross the
-boundary once per solve in each direction.
+body each, written on the array-API subset against a namespace ``xp``;
+the solver runs them with NumPy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple, Union
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend, to_numpy
 from repro.grids.grid import Grid3D
 from repro.obs import trace_span
 from repro.multigrid.smoothers import (
@@ -62,19 +60,19 @@ def solve_poisson_fft_xp(xp: Any, rho: Any, grid: Grid3D) -> Any:
     return v - xp.mean(v)
 
 
-def solve_poisson_fft(
-    rho: np.ndarray,
-    grid: Grid3D,
-    backend: Union[str, ArrayBackend, None] = None,
-) -> np.ndarray:
+def solve_poisson_fft(rho: np.ndarray, grid: Grid3D) -> np.ndarray:
     """Exact periodic Poisson solve via FFT (reference / coarse-level solver).
 
     Solves nabla^2 V = -4 pi rho with the *discrete* 7-point Laplacian so
     that the result is consistent with the multigrid operator.
     """
-    b = get_backend(backend)
-    x_rho = b.asarray(np.asarray(rho, dtype=float))
-    return to_numpy(solve_poisson_fft_xp(b.xp, x_rho, grid))
+    return solve_poisson_fft_xp(np, np.asarray(rho, dtype=float), grid)
+
+
+#: Relative size, against 4 pi |rho|, below which the mean-free
+#: right-hand side is rounding noise: the mean subtraction errs by a few
+#: ulps of each point, plus the summation error of the mean.
+_ROUNDOFF = 64.0 * float(np.finfo(float).eps)
 
 
 def _norm_xp(xp: Any, x: Any) -> float:
@@ -124,12 +122,6 @@ class PoissonMultigrid:
     min_points:
         Stop coarsening when any axis would drop below this; the coarsest
         level is solved exactly by FFT.
-    backend:
-        Array-API substrate (name or handle); None resolves from the
-        active tuning profile (falling back to ``"numpy"`` for profiles
-        persisted before the backend dimension existed).  The whole
-        solve runs in the backend's namespace -- host data crosses the
-        boundary once per solve in each direction.
     """
 
     def __init__(
@@ -139,7 +131,6 @@ class PoissonMultigrid:
         post_sweeps: int | None = None,
         smoother: str | None = None,
         min_points: int = 4,
-        backend: Union[str, ArrayBackend, None] = None,
     ) -> None:
         from repro.tuning.profile import get_active_profile
 
@@ -150,14 +141,11 @@ class PoissonMultigrid:
             post_sweeps = int(params["post_sweeps"])  # type: ignore[arg-type]
         if smoother is None:
             smoother = str(params["smoother"])
-        if backend is None:
-            backend = str(params.get("backend", "numpy"))
         if smoother not in ("jacobi", "rbgs"):
             raise ValueError("smoother must be 'jacobi' or 'rbgs'")
         self.pre_sweeps = int(pre_sweeps)
         self.post_sweeps = int(post_sweeps)
         self.smoother = smoother
-        self.backend = get_backend(backend)
         self.levels: List[Grid3D] = [grid]
         g = grid
         while all(n % 2 == 0 and n // 2 >= min_points for n in g.shape):
@@ -168,25 +156,23 @@ class PoissonMultigrid:
     def nlevels(self) -> int:
         return len(self.levels)
 
-    def _smooth(self, u: Any, f: Any, grid: Grid3D, sweeps: int) -> Any:
-        xp = self.backend.xp
+    def _smooth(self, xp: Any, u: Any, f: Any, grid: Grid3D, sweeps: int) -> Any:
         if self.smoother == "jacobi":
             return weighted_jacobi_xp(xp, u, f, grid.spacing, sweeps=sweeps)
         return red_black_gauss_seidel_xp(xp, u, f, grid.spacing, sweeps=sweeps)
 
-    def _vcycle(self, u: Any, f: Any, level: int) -> Any:
-        xp = self.backend.xp
+    def _vcycle(self, xp: Any, u: Any, f: Any, level: int) -> Any:
         grid = self.levels[level]
         if level == self.nlevels - 1:
             # Coarsest level: exact solve of L u = f.  The FFT solver
             # solves L v = -4 pi rho, so pass rho = -f / (4 pi).
             return solve_poisson_fft_xp(xp, -f / (4.0 * xp.pi), grid)
-        u = self._smooth(u, f, grid, self.pre_sweeps)
+        u = self._smooth(xp, u, f, grid, self.pre_sweeps)
         r = residual_xp(xp, u, f, grid.spacing)
         r_coarse = restrict_full_weighting_xp(xp, r)
-        e_coarse = self._vcycle(xp.zeros_like(r_coarse), r_coarse, level + 1)
+        e_coarse = self._vcycle(xp, xp.zeros_like(r_coarse), r_coarse, level + 1)
         u = u + prolong_trilinear_xp(xp, e_coarse, grid.shape)
-        u = self._smooth(u, f, grid, self.post_sweeps)
+        u = self._smooth(xp, u, f, grid, self.post_sweeps)
         return u
 
     def solve(
@@ -205,29 +191,43 @@ class PoissonMultigrid:
         rho = np.asarray(rho, dtype=float)
         if rho.shape != grid.shape:
             raise ValueError(f"density shape {rho.shape} != grid shape {grid.shape}")
-        b = self.backend
-        xp = b.xp
-        x_rho = b.asarray(rho)
-        f = (-4.0 * xp.pi) * (x_rho - xp.mean(x_rho))
+        if initial_guess is not None:
+            initial_guess = np.asarray(initial_guess, dtype=float)
+        return self.solve_xp(np, rho, tol, max_cycles, initial_guess)
+
+    def solve_xp(
+        self,
+        xp: Any,
+        rho: Any,
+        tol: float = 1e-8,
+        max_cycles: int = 50,
+        initial_guess: Optional[Any] = None,
+    ) -> Tuple[Any, MultigridStats]:
+        """The body of :meth:`solve` in namespace ``xp``: takes and
+        returns arrays of ``xp``.
+
+        A right-hand side at round-off level relative to ``rho`` (a
+        uniform density, whose mean subtraction leaves only rounding
+        noise) is zero: the only mean-free solution is V = 0, and no
+        V-cycle can reduce a residual made of rounding noise.
+        """
+        grid = self.levels[0]
+        f = (-4.0 * xp.pi) * (rho - xp.mean(rho))
         stats = MultigridStats()
         f_norm = _norm_xp(xp, f)
-        if f_norm == 0.0:
-            # The only mean-free solution of nabla^2 V = 0 is V = 0; an
-            # initial guess is stale here, not a starting point.
+        if f_norm <= _ROUNDOFF * 4.0 * xp.pi * _norm_xp(xp, rho):
+            # An initial guess is stale here, not a starting point.
             stats.converged = True
             stats.residual_norms.append(0.0)
-            return np.zeros(grid.shape), stats
-        if initial_guess is None:
-            u = xp.zeros(grid.shape)
-        else:
-            u = b.asarray(np.asarray(initial_guess, dtype=float))
+            return xp.zeros(grid.shape), stats
+        u = xp.zeros(grid.shape) if initial_guess is None else initial_guess
         u = u - xp.mean(u)
         stats.residual_norms.append(_norm_xp(xp, residual_xp(xp, u, f, grid.spacing)))
         with trace_span("poisson.solve", "hartree", npoints=grid.npoints,
-                        nlevels=self.nlevels, backend=b.name):
+                        nlevels=self.nlevels):
             for cycle in range(max_cycles):
                 with trace_span("poisson.vcycle", "hartree", cycle=cycle + 1):
-                    u = self._vcycle(u, f, 0)
+                    u = self._vcycle(xp, u, f, 0)
                 u = u - xp.mean(u)
                 r = _norm_xp(xp, residual_xp(xp, u, f, grid.spacing))
                 stats.cycles = cycle + 1
@@ -235,7 +235,7 @@ class PoissonMultigrid:
                 if r <= tol * f_norm:
                     stats.converged = True
                     break
-        return to_numpy(u), stats
+        return u, stats
 
     def work_units(self) -> float:
         """Total grid points touched per V-cycle, in units of fine points.

@@ -12,17 +12,15 @@ array-API subset (``roll`` neighbours; a parity-mask ``where`` in place
 of boolean-mask assignment for red-black ordering).  The kernels take a
 namespace ``xp`` and arrays of it, so the V-cycle in
 :mod:`repro.multigrid.poisson` stays in-namespace across a whole solve;
-NumPy is one namespace they run in.  The unsuffixed public functions are
-host boundary wrappers (NumPy in, NumPy out) around the same kernels.
+the solver runs them with NumPy.  The unsuffixed public functions call
+the same kernels with NumPy.
 """
 
 from __future__ import annotations
 
-from typing import Any, Tuple, Union
+from typing import Any, Tuple
 
 import numpy as np
-
-from repro.backend import ArrayBackend, get_backend, to_numpy
 
 
 def _diag_coeff(spacing: Tuple[float, float, float]) -> float:
@@ -131,19 +129,15 @@ def weighted_jacobi(
     spacing: Tuple[float, float, float],
     sweeps: int = 2,
     omega: float = 2.0 / 3.0,
-    backend: Union[str, ArrayBackend, None] = None,
 ) -> np.ndarray:
     """Damped-Jacobi relaxation sweeps on L u = f.
 
     Returns the relaxed field; the input array is not modified.
     """
-    b = get_backend(backend)
-    out = weighted_jacobi_xp(
-        b.xp, b.asarray(np.asarray(u, dtype=float)),
-        b.asarray(np.asarray(f, dtype=float)),
+    return weighted_jacobi_xp(
+        np, np.asarray(u, dtype=float), np.asarray(f, dtype=float),
         spacing, sweeps=sweeps, omega=omega,
     )
-    return to_numpy(out)
 
 
 def red_black_gauss_seidel(
@@ -151,7 +145,6 @@ def red_black_gauss_seidel(
     f: np.ndarray,
     spacing: Tuple[float, float, float],
     sweeps: int = 1,
-    backend: Union[str, ArrayBackend, None] = None,
 ) -> np.ndarray:
     """Red-black Gauss-Seidel sweeps on L u = f (even grid sizes, periodic).
 
@@ -159,10 +152,7 @@ def red_black_gauss_seidel(
     which on even-sized periodic grids decouples exactly.  Returns the
     relaxed field; the input array is not modified.
     """
-    b = get_backend(backend)
-    out = red_black_gauss_seidel_xp(
-        b.xp, b.asarray(np.asarray(u, dtype=float)),
-        b.asarray(np.asarray(f, dtype=float)),
+    return red_black_gauss_seidel_xp(
+        np, np.asarray(u, dtype=float), np.asarray(f, dtype=float),
         spacing, sweeps=sweeps,
     )
-    return to_numpy(out)

@@ -7,18 +7,15 @@ matching the vertex-centred hierarchy produced by :meth:`Grid3D.coarsen`.
 
 Each operator has one body: the ``_xp`` kernel, spelled with strided
 slicing and ``roll`` only (both in the array-API subset) and run in
-whatever namespace ``xp`` it is given, NumPy included.  The kernels stay
-in-namespace so the V-cycle can chain them without host round trips; the
-unsuffixed public functions are host boundary wrappers around them.
+whatever namespace ``xp`` it is given; the V-cycle chains them with
+NumPy, and the unsuffixed public functions call them with NumPy.
 """
 
 from __future__ import annotations
 
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
-
-from repro.backend import ArrayBackend, get_backend, to_numpy
 
 
 def restrict_full_weighting_xp(xp: Any, fine: Any) -> Any:
@@ -59,27 +56,22 @@ def prolong_trilinear_xp(xp: Any, coarse: Any, fine_shape) -> Any:
     return out
 
 
-def restrict_full_weighting(
-    fine: np.ndarray, backend: Union[str, ArrayBackend, None] = None
-) -> np.ndarray:
+def restrict_full_weighting(fine: np.ndarray) -> np.ndarray:
     """Restrict a fine-grid field to the next coarser periodic grid.
 
     The coarse point ``i`` coincides with fine point ``2 i``; its value is
     the 27-point full-weighted average of the fine field around that point.
     """
-    b = get_backend(backend)
-    return to_numpy(restrict_full_weighting_xp(b.xp, b.asarray(fine)))
+    return restrict_full_weighting_xp(np, np.asarray(fine))
 
 
 def prolong_trilinear(
     coarse: np.ndarray,
     fine_shape: tuple[int, int, int],
-    backend: Union[str, ArrayBackend, None] = None,
 ) -> np.ndarray:
     """Trilinear interpolation of a coarse field onto the doubled fine grid.
 
     Fine even points copy the coarse value, odd points average the two
     flanking coarse points; tensor product over the three axes.
     """
-    b = get_backend(backend)
-    return to_numpy(prolong_trilinear_xp(b.xp, b.asarray(coarse), fine_shape))
+    return prolong_trilinear_xp(np, np.asarray(coarse), fine_shape)

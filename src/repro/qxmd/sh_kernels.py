@@ -23,9 +23,10 @@ Two implementation rules make the invariance hold:
 
 Each amplitude kernel has one body, the ``_xp``-suffixed function, which
 takes the array namespace ``xp`` as its first argument and arrays of it:
-:class:`~repro.qxmd.surface_hopping.FSSH` calls it with ``numpy``, the
-swarm step with its backend's namespace.  It is written on the array-API
-surface (:mod:`repro.backend`): no integer-array fancy indexing (the
+:class:`~repro.qxmd.surface_hopping.FSSH` and the swarm step call it
+with ``numpy``, and the tests also run it in a strict array-API
+namespace.  It is written on the array-API surface: no integer-array
+fancy indexing (the
 ``c[rows, active]`` gathers become ``take``/``take_along_axis``) and no
 boolean-mask setitem (``where`` with a one-hot active mask instead).
 Hop *selection* and *pricing* (:func:`select_hops`,

@@ -625,7 +625,6 @@ class ServeDaemon:
             members,
             policy=workloads.ensemble_policy(shared),
             substeps=int(shared["substeps"]),
-            array_backend=shared["array_backend"],
             batch_size=int(explicit[0]) if explicit else None,
         )
         with self._scratch_dir(tuple(specs)) as scratch:

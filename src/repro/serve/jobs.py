@@ -47,7 +47,6 @@ PARAM_DEFAULTS: Dict[str, Dict[str, Any]] = {
         "omega": 0.3,
         "excite": False,
         "seed": 11,
-        "array_backend": None,
     },
     "spectrum": {
         "grid": 12,
@@ -81,7 +80,6 @@ PARAM_DEFAULTS: Dict[str, Dict[str, Any]] = {
         "decoherence": "none",
         "edc_parameter": 0.1,
         "batch_size": None,
-        "array_backend": None,
     },
 }
 
@@ -159,8 +157,8 @@ def batch_key(spec: JobSpec) -> Optional[str]:
     * ``scf`` jobs are independent systems: any mix coalesces into one
       ``scf_solve_batch`` call.
     * ``ensemble`` jobs coalesce when everything but the free axes
-      (seed, ntraj, batch_size) matches -- same classical path, physics
-      policy and substrate.
+      (seed, ntraj, batch_size) matches -- same classical path and
+      physics policy.
     * ``spectrum`` jobs coalesce when they share a ground state, so one
       converged eigensolve serves the whole group.
     * ``run`` jobs (full DC-MESH simulations) never coalesce.

@@ -262,7 +262,6 @@ def run_system(
         nscf=int(params["nscf"]),
         ncg=int(params["ncg"]),
         seed=int(params["seed"]),
-        array_backend=params.get("array_backend"),
     )
     return grid, positions, species, laser, config
 

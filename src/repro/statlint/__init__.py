@@ -9,7 +9,7 @@ as AST-level rules with per-rule severity, inline
 ``# dclint: disable=DCLnnn`` suppressions, a committed baseline file so
 legacy findings do not block CI, and text/JSON/SARIF output.
 
-Rules come in two tiers: the per-module rules (DCL001-DCL011, DCL016) inspect
+Rules come in two tiers: the per-module rules (DCL001-DCL011, DCL017) inspect
 one file at a time, while the project-wide rules (DCL012-DCL015) build
 a cross-module symbol index, call graph and forward dataflow (reaching
 definitions + a dtype lattice) over *all* linted files together, so

@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.statlint",
         description=(
             "dclint: repo-specific static analysis for numerical-kernel "
-            "discipline (per-module rules DCL001-DCL011 and DCL016 plus the "
+            "discipline (per-module rules DCL001-DCL011 and DCL017 plus the "
             "project-wide dataflow rules DCL012-DCL015)"
         ),
     )

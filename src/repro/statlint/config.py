@@ -89,33 +89,6 @@ LIVENESS_PATHS: Tuple[str, ...] = (
     "repro/resilience/supervisor.py",
 )
 
-#: Modules holding namespace-generic (array-API) kernels: functions
-#: whose first parameter is the namespace handle ``xp`` promise to run
-#: on *any* standard-conforming array library, so a bare ``np.*`` call
-#: inside one silently pins the kernel back to host NumPy (and breaks
-#: outright under a non-NumPy substrate, whose arrays NumPy rejects).
-XP_KERNEL_PATHS: Tuple[str, ...] = (
-    "repro/lfd/",
-    "repro/multigrid/",
-    "repro/qxmd/",
-    "repro/ensemble/",
-)
-
-#: numpy names an xp-first kernel may still call: the sanctioned
-#: ``asarray`` boundary conversion, plus dtype constants -- dtype
-#: objects are plain metadata the array-API namespace accepts in
-#: ``dtype=`` position, never a computation on the wrong substrate.
-XP_KERNEL_NUMPY_OK: Tuple[str, ...] = (
-    "asarray",
-    "float64",
-    "float32",
-    "complex128",
-    "complex64",
-    "int64",
-    "int32",
-    "bool_",
-)
-
 #: Modules hosting asyncio event-loop code (the serving daemon): a
 #: blocking call lexically inside an ``async def`` here stalls every
 #: connected client at once, so all compute and file I/O must route
@@ -293,7 +266,6 @@ DEFAULT_SEVERITIES: Mapping[str, str] = {
     "DCL013": "error",
     "DCL014": "error",
     "DCL015": "error",
-    "DCL016": "error",
     "DCL017": "error",
 }
 
@@ -315,7 +287,6 @@ class LintConfig:
     tuning_literal_paths: Tuple[str, ...] = TUNING_LITERAL_PATHS
     liveness_paths: Tuple[str, ...] = LIVENESS_PATHS
     rng_scope_paths: Tuple[str, ...] = RNG_SCOPE_PATHS
-    xp_kernel_paths: Tuple[str, ...] = XP_KERNEL_PATHS
     async_paths: Tuple[str, ...] = ASYNC_PATHS
     #: Parallel parse/lint workers; 1 = serial, 0 = one per CPU.
     jobs: int = 1

@@ -1,4 +1,4 @@
-"""The per-module rule set (DCL001-DCL011, DCL016-DCL017).
+"""The per-module rule set (DCL001-DCL011, DCL017).
 
 Each rule is an AST check over one :class:`~repro.statlint.engine.ModuleContext`
 yielding ``(line, col, message)`` triples.  Rules carry the paper
@@ -22,7 +22,6 @@ from repro.statlint.config import (
     NON_ELEMENTWISE_OUT_OPS,
     SEEDED_RNG_OK,
     TUNED_LITERAL_KWARGS,
-    XP_KERNEL_NUMPY_OK,
     LintConfig,
     path_matches,
 )
@@ -624,54 +623,6 @@ class UnboundedBlocking(Rule):
                 )
 
 
-class BareNumpyInXpKernel(Rule):
-    """DCL016: bare ``np.*`` call inside a namespace-generic kernel.
-
-    The array-API substrate layer (repro.backend) makes hot kernels
-    accept the namespace handle ``xp`` as their first parameter and
-    promises they run unmodified on any standard-conforming array
-    library -- that is the whole GPU-portability story.  A ``np.*``
-    call inside such a kernel breaks the promise twice over: on a
-    non-NumPy substrate it raises (strict-mode arrays refuse NumPy
-    ufuncs), and where NumPy *happens* to accept the array it silently
-    round-trips through the host, defeating the dispatch.  The only
-    sanctioned numpy touches are the ``asarray`` boundary conversion
-    and dtype constants (plain metadata every namespace accepts).
-    """
-
-    code = "DCL016"
-    name = "bare-numpy-in-xp-kernel"
-    summary = "np.* call inside an xp-first (namespace-generic) kernel"
-    paper_ref = "Sec. IV kernel offload: one kernel source, any substrate"
-    scope_attr = "xp_kernel_paths"
-
-    @staticmethod
-    def _is_xp_kernel(fn: ast.AST) -> bool:
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return False
-        args = fn.args.posonlyargs + fn.args.args
-        return bool(args) and args[0].arg == "xp"
-
-    def check(self, ctx: ModuleContext) -> Iterator[RawFinding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = ctx.enclosing_function(node)
-            if fn is None or not self._is_xp_kernel(fn):
-                continue
-            np_name = ctx.numpy_call_name(node.func)
-            if np_name is None or np_name in XP_KERNEL_NUMPY_OK:
-                continue
-            yield (
-                node.lineno,
-                node.col_offset,
-                f"np.{np_name}() inside xp-kernel {fn.name}() pins the "
-                f"kernel to host NumPy; call xp.{np_name.split('.')[-1]} "
-                f"(or hoist the numpy work outside the xp-first function) "
-                f"so the substrate stays dispatchable ({self.paper_ref})",
-            )
-
-
 class EventLoopBlocker(Rule):
     """DCL017: blocking call lexically inside an ``async def``.
 
@@ -743,7 +694,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     SerialRankLoop(),
     UntunedLiteral(),
     UnboundedBlocking(),
-    BareNumpyInXpKernel(),
     EventLoopBlocker(),
 )
 

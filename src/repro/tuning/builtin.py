@@ -55,8 +55,7 @@ def _kin_prop_trial(probe: dict, params: Params) -> np.ndarray:
     wf = probe["wf"].copy()
     for _ in range(probe["steps"]):
         kinetic_step(wf, probe["dt"], variant=str(params["variant"]),
-                     block_size=int(params["block_size"]),
-                     backend=str(params.get("backend", "numpy")))
+                     block_size=int(params["block_size"]))
     return wf.psi.copy()
 
 
@@ -74,7 +73,6 @@ def _kin_prop_tunable() -> Tunable:
             Choice("variant", ("baseline", "interchange", "blocked",
                                "collapsed", "gemm")),
             Choice("block_size", (4, 8, 16, 32, 64)),
-            Choice("backend", ("numpy",)),
         )),
         defaults=default_params("lfd.kin_prop"),
         description="kinetic stencil propagation variant and orbital block",
@@ -107,7 +105,6 @@ def _nonlocal_trial(probe: dict, params: Params) -> np.ndarray:
     corr = NonlocalCorrector(
         ref_unocc=probe["ref"], scissor_shift=probe["scissor"],
         variant=str(params["variant"]), orb_block=int(params["orb_block"]),
-        backend=str(params.get("backend", "numpy")),
     )
     corr.apply(wf, probe["dt"])
     return wf.psi.copy()
@@ -126,7 +123,6 @@ def _nonlocal_tunable() -> Tunable:
         space=ParamSpace((
             Choice("variant", ("naive", "blas", "blas_blocked")),
             Choice("orb_block", (4, 8, 16, 32)),
-            Choice("backend", ("numpy",)),
         )),
         defaults=default_params("lfd.nonlocal"),
         description="nonlocal correction BLAS-3 variant and panel width",
@@ -227,7 +223,6 @@ def _poisson_trial(probe: dict, params: Params) -> np.ndarray:
         pre_sweeps=int(params["pre_sweeps"]),
         post_sweeps=int(params["post_sweeps"]),
         smoother=str(params["smoother"]),
-        backend=str(params.get("backend", "numpy")),
     )
     # Converged far past the gate tolerance: every smoother config must
     # land on the same discrete solution, so only speed can differ.
@@ -244,7 +239,6 @@ def _poisson_tunable() -> Tunable:
             Choice("smoother", ("rbgs", "jacobi")),
             IntRange("pre_sweeps", 1, 3),
             IntRange("post_sweeps", 1, 3),
-            Choice("backend", ("numpy",)),
         )),
         defaults=default_params("multigrid.poisson"),
         description="Hartree V-cycle smoother and sweep counts",

@@ -40,6 +40,10 @@ class TuningProfile:
                     f"{', '.join(DEFAULT_PARAMS)}"
                 )
             merged = dict(default_params(tid))
+            if "backend" not in merged:
+                # Profiles written while the kernel tunables had an
+                # array-API substrate axis carry a "backend" key.
+                params = {k: v for k, v in params.items() if k != "backend"}
             unknown = set(params) - set(merged)
             if unknown:
                 raise ValueError(

@@ -1,33 +1,43 @@
-"""Kernel-by-kernel backend-differential matrix.
+"""Kernel-by-kernel differential matrix.
 
-Two gates, one per axis of the array-API refactor:
+Three gates:
 
 1. **NumPy-path regression**: every hot kernel (kin/pot/nonlocal/CAP/
-   multigrid/Hartree/FSSH), run on the default NumPy backend, must reproduce
-   the *pre-refactor* outputs committed in ``tests/data/golden_kernels.npz``
-   -- bit-for-bit on the platform that generated the file
-   (``REPRO_GOLDEN_EXACT=1``), and to 1e-12 across BLAS builds.  The
-   namespace refactor is required to be a pure re-spelling of the same
-   floating-point program.
+   multigrid/Hartree/FSSH) must reproduce the *pre-refactor* outputs
+   committed in ``tests/data/golden_kernels.npz`` -- bit-for-bit on the
+   platform that generated the file (``REPRO_GOLDEN_EXACT=1``), and to
+   1e-12 across BLAS builds.
 
-2. **Cross-namespace agreement**: the same kernel run under the
-   ``array_api_strict`` namespace (the real package when installed, the
-   :mod:`repro.backend` strict shim otherwise) must agree with the NumPy
-   path to <= 1e-12 on every converted kernel.
+2. **Cross-namespace agreement**: the xp-first kernels (multigrid,
+   Hartree, FSSH), run in the strict namespace of
+   :mod:`tests.backend.namespaces`, must agree with the NumPy entry
+   points to <= 1e-12.
+
+3. **Coverage**: every ``repro`` function or method whose first
+   parameter is the namespace ``xp`` must be run in the strict
+   namespace by gate 2, so no xp-first kernel can pick up a bare NumPy
+   call unnoticed.
 
 Regenerate the golden file (after a *deliberate* numerics change) with::
 
     PYTHONPATH=src:. python -m tests.backend.test_kernel_matrix
 """
 
+import importlib
+import inspect
 import os
 import pathlib
+import pkgutil
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.grids.grid import Grid3D
 from repro.lfd.wavefunction import WaveFunctionSet
+
+from tests.backend.namespaces import strict_namespace, to_numpy
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).resolve().parents[1] / "data" / "golden_kernels.npz"
@@ -88,8 +98,7 @@ def _fssh_inputs():
             "kinetic": kinetic}
 
 
-def _fssh(inp, backend=None):
-    from repro.backend import get_backend, to_numpy
+def _fssh(inp, xp=np):
     from repro.qxmd.sh_kernels import (
         apply_edc_batch_xp,
         hop_probabilities_batch_xp,
@@ -97,10 +106,8 @@ def _fssh(inp, backend=None):
         stay_probabilities_xp,
     )
 
-    b = get_backend(backend)
-    xp = b.xp
     c, active, energies, nac, kinetic = (
-        b.asarray(inp[k])
+        xp.asarray(inp[k])
         for k in ("c", "active", "energies", "nac", "kinetic")
     )
     prop = propagate_amplitudes_batch_xp(xp, c, energies, nac, SH_DT,
@@ -116,47 +123,47 @@ def _fssh(inp, backend=None):
     return {k: to_numpy(v) for k, v in out.items()}
 
 
-def _kin(inp, variant, block_size=None, **kw):
+def _kin(inp, variant, block_size=None):
     from repro.lfd.kin_prop import kinetic_step
 
     wf = inp["wf"].copy()
     for _ in range(2):
         kinetic_step(wf, DT, theta=THETA, variant=variant,
-                     block_size=block_size, **kw)
+                     block_size=block_size)
     return wf.psi.copy()
 
 
-def _pot(inp, **kw):
+def _pot(inp):
     from repro.lfd.pot_prop import potential_phase, potential_phase_step
 
     wf = inp["wf"].copy()
-    phase = potential_phase(inp["vloc"], DT, **kw)
-    potential_phase_step(wf, inp["vloc"], DT, **kw)
+    phase = potential_phase(inp["vloc"], DT)
+    potential_phase_step(wf, inp["vloc"], DT)
     return np.asarray(phase), wf.psi.copy()
 
 
-def _cap(inp, **kw):
+def _cap(inp):
     from repro.lfd.cap import cos2_absorber
 
-    w = cos2_absorber(inp["grid"], width_points=2, strength=1.5, **kw)
+    w = cos2_absorber(inp["grid"], width_points=2, strength=1.5)
     wf = inp["wf"].copy()
     wf.psi *= np.exp(-DT * np.asarray(w))[..., None]
     return np.asarray(w), wf.psi.copy()
 
 
-def _nonlocal(inp, variant, **kw):
+def _nonlocal(inp, variant):
     from repro.lfd.nonlocal_corr import NonlocalCorrector
 
     wf = inp["wf"].copy()
     corr = NonlocalCorrector(
         ref_unocc=inp["ref"], scissor_shift=0.037, variant=variant,
-        orb_block=3 if variant == "blas_blocked" else 16, **kw,
+        orb_block=3 if variant == "blas_blocked" else 16,
     )
     corr.apply(wf, DT)
     return wf.psi.copy()
 
 
-def _multigrid(inp, **kw):
+def _multigrid(inp):
     from repro.multigrid.poisson import PoissonMultigrid, solve_poisson_fft
     from repro.multigrid.smoothers import (red_black_gauss_seidel,
                                            weighted_jacobi)
@@ -166,31 +173,84 @@ def _multigrid(inp, **kw):
     grid = inp["grid"]
     spacing = grid.spacing
     out = {
-        "mg_jacobi": weighted_jacobi(inp["u"], inp["f"], spacing, sweeps=3,
-                                     **kw),
+        "mg_jacobi": weighted_jacobi(inp["u"], inp["f"], spacing, sweeps=3),
         "mg_rbgs": red_black_gauss_seidel(inp["u"], inp["f"], spacing,
-                                          sweeps=2, **kw),
-        "mg_restrict": restrict_full_weighting(inp["f"], **kw),
-        "mg_prolong": prolong_trilinear(inp["coarse"], grid.shape, **kw),
-        "mg_fft": solve_poisson_fft(inp["rho"], grid, **kw),
+                                          sweeps=2),
+        "mg_restrict": restrict_full_weighting(inp["f"]),
+        "mg_prolong": prolong_trilinear(inp["coarse"], grid.shape),
+        "mg_fft": solve_poisson_fft(inp["rho"], grid),
     }
     solver = PoissonMultigrid(grid, pre_sweeps=2, post_sweeps=2,
-                              smoother="rbgs", **kw)
+                              smoother="rbgs")
     v, stats = solver.solve(inp["rho"], tol=1e-10)
     out["mg_solve"] = v
     out["mg_residuals"] = np.asarray(stats.residual_norms)
     return {k: np.asarray(v) for k, v in out.items()}
 
 
-def _hartree(inp, **kw):
+def _multigrid_xp(inp, xp):
+    """The kernels behind :func:`_multigrid`, called in namespace ``xp``."""
+    from repro.multigrid.poisson import PoissonMultigrid, solve_poisson_fft_xp
+    from repro.multigrid.smoothers import (red_black_gauss_seidel_xp,
+                                           weighted_jacobi_xp)
+    from repro.multigrid.transfer import (prolong_trilinear_xp,
+                                          restrict_full_weighting_xp)
+
+    grid = inp["grid"]
+    spacing = grid.spacing
+    u, f, rho, coarse = (xp.asarray(inp[k])
+                         for k in ("u", "f", "rho", "coarse"))
+    out = {
+        "mg_jacobi": weighted_jacobi_xp(xp, u, f, spacing, sweeps=3),
+        "mg_rbgs": red_black_gauss_seidel_xp(xp, u, f, spacing, sweeps=2),
+        "mg_restrict": restrict_full_weighting_xp(xp, f),
+        "mg_prolong": prolong_trilinear_xp(xp, coarse, grid.shape),
+        "mg_fft": solve_poisson_fft_xp(xp, rho, grid),
+    }
+    solver = PoissonMultigrid(grid, pre_sweeps=2, post_sweeps=2,
+                              smoother="rbgs")
+    v, stats = solver.solve_xp(xp, rho, tol=1e-10)
+    out["mg_solve"] = v
+    out = {k: to_numpy(v) for k, v in out.items()}
+    out["mg_residuals"] = np.asarray(stats.residual_norms)
+    return out
+
+
+def _hartree(inp):
     from repro.qxmd.hartree import hartree_potential
 
     return (
         np.asarray(hartree_potential(inp["rho"], inp["grid"],
-                                     method="multigrid", **kw)),
-        np.asarray(hartree_potential(inp["rho"], inp["grid"], method="fft",
-                                     **kw)),
+                                     method="multigrid")),
+        np.asarray(hartree_potential(inp["rho"], inp["grid"], method="fft")),
     )
+
+
+def _hartree_xp(inp, xp):
+    """The kernels behind :func:`_hartree`, called in namespace ``xp``."""
+    from repro.multigrid.poisson import PoissonMultigrid, solve_poisson_fft_xp
+
+    grid = inp["grid"]
+    rho = xp.asarray(inp["rho"])
+    v, stats = PoissonMultigrid(grid).solve_xp(xp, rho)
+    assert stats.converged
+    return to_numpy(v), to_numpy(solve_poisson_fft_xp(xp, rho, grid))
+
+
+def strict_matrix(strict):
+    """Every xp-first kernel of the matrix, run in ``strict``, beside the
+    NumPy entry points it must agree with: ``{key: (numpy, strict)}``."""
+    inp = _inputs()
+    pairs = {}
+    want, got = _multigrid(inp), _multigrid_xp(inp, strict)
+    pairs.update((key, (want[key], got[key])) for key in want)
+    for key, a, b in zip(("hartree_mg", "hartree_fft"), _hartree(inp),
+                         _hartree_xp(inp, strict)):
+        pairs[key] = (a, b)
+    fssh_inp = _fssh_inputs()
+    want, got = _fssh(fssh_inp), _fssh(fssh_inp, strict)
+    pairs.update((key, (want[key], got[key])) for key in want)
+    return pairs
 
 
 def golden_kernel_outputs():
@@ -253,68 +313,91 @@ class TestNumpyPathMatchesPreRefactorGolden:
 
 
 # --------------------------------------------------------------------- #
-# gate 2: strict namespace agrees with the NumPy path on every kernel
+# gate 2: the strict namespace agrees with the NumPy entry points
 # --------------------------------------------------------------------- #
 class TestCrossNamespaceAgreement:
-    """Same kernel, numpy vs array_api_strict namespace, <= 1e-12."""
+    """Same kernel, NumPy entry point vs strict namespace, <= 1e-12."""
 
     @pytest.fixture(scope="class")
-    def inp(self):
-        return _inputs()
+    def pairs(self):
+        return strict_matrix(strict_namespace())
 
-    @pytest.fixture(scope="class")
-    def strict(self):
-        from repro.backend import get_backend
+    def _check(self, pairs, keys):
+        for key in keys:
+            a, b = (np.asarray(x) for x in pairs[key])
+            assert a.shape == b.shape, key
+            diff = float(np.max(np.abs(a - b))) if a.size else 0.0
+            assert diff <= XNS_ATOL, (
+                f"{key}: max|diff| = {diff:.3e} > {XNS_ATOL}"
+            )
 
-        return get_backend("array_api_strict")
+    def test_multigrid(self, pairs):
+        self._check(pairs, [k for k in pairs if k.startswith("mg_")])
 
-    def _check(self, a, b, key):
-        a, b = np.asarray(a), np.asarray(b)
-        assert a.shape == b.shape, key
-        diff = float(np.max(np.abs(a - b))) if a.size else 0.0
-        assert diff <= XNS_ATOL, f"{key}: max|diff| = {diff:.3e} > {XNS_ATOL}"
+    def test_hartree(self, pairs):
+        self._check(pairs, ["hartree_mg", "hartree_fft"])
 
-    @pytest.mark.parametrize("variant", ["baseline", "interchange",
-                                         "blocked", "collapsed", "gemm"])
-    def test_kin(self, inp, strict, variant):
-        self._check(_kin(inp, variant),
-                    _kin(inp, variant, backend=strict), f"kin_{variant}")
+    def test_fssh(self, pairs):
+        self._check(pairs, [k for k in pairs if k.startswith("fssh_")])
 
-    def test_pot(self, inp, strict):
-        phase_np, psi_np = _pot(inp)
-        phase_xp, psi_xp = _pot(inp, backend=strict)
-        self._check(phase_np, phase_xp, "pot_phase")
-        self._check(psi_np, psi_xp, "pot_applied")
 
-    def test_cap(self, inp, strict):
-        w_np, psi_np = _cap(inp)
-        w_xp, psi_xp = _cap(inp, backend=strict)
-        self._check(w_np, w_xp, "cap_w")
-        self._check(psi_np, psi_xp, "cap_applied")
+# --------------------------------------------------------------------- #
+# gate 3: gate 2 runs every xp-first function in the strict namespace
+# --------------------------------------------------------------------- #
+def _takes_xp_first(fn) -> bool:
+    try:
+        params = list(inspect.signature(fn).parameters)
+    except (TypeError, ValueError):
+        return False
+    if params[:1] == ["self"]:
+        params = params[1:]
+    return params[:1] == ["xp"]
 
-    @pytest.mark.parametrize("variant", ["naive", "blas", "blas_blocked"])
-    def test_nonlocal(self, inp, strict, variant):
-        self._check(_nonlocal(inp, variant),
-                    _nonlocal(inp, variant, backend=strict), f"nl_{variant}")
 
-    def test_multigrid(self, inp, strict):
-        a = _multigrid(inp)
-        b = _multigrid(inp, backend=strict)
-        for key in a:
-            self._check(a[key], b[key], key)
+def xp_first_functions():
+    """``{qualified name: code object}`` of every function or method in
+    ``repro`` whose first parameter (after ``self``) is ``xp``."""
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                members = [(f"{name}.{k}", v) for k, v in vars(obj).items()]
+            else:
+                members = [(name, obj)]
+            for qual, fn in members:
+                if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                        and _takes_xp_first(fn)):
+                    found[f"{module.__name__}.{qual}"] = fn.__code__
+    return found
 
-    def test_hartree(self, inp, strict):
-        mg_np, fft_np = _hartree(inp)
-        mg_xp, fft_xp = _hartree(inp, backend=strict)
-        self._check(mg_np, mg_xp, "hartree_mg")
-        self._check(fft_np, fft_xp, "hartree_fft")
 
-    def test_fssh(self, strict):
-        inp = _fssh_inputs()
-        a = _fssh(inp)
-        b = _fssh(inp, backend=strict)
-        for key in a:
-            self._check(a[key], b[key], key)
+def test_strict_matrix_calls_every_xp_function():
+    targets = xp_first_functions()
+    # An empty walk would pass vacuously.
+    assert len(targets) >= 20, sorted(targets)
+    strict = strict_namespace()
+    codes = set(targets.values())
+    called = set()
+
+    def profile(frame, event, arg):
+        if (event == "call" and frame.f_code in codes
+                and frame.f_locals.get("xp") is strict):
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        strict_matrix(strict)
+    finally:
+        sys.setprofile(None)
+    missed = sorted(name for name, code in targets.items()
+                    if code not in called)
+    assert not missed, (
+        f"xp-first functions the strict matrix never runs in the strict "
+        f"namespace: {missed}"
+    )
 
 
 if __name__ == "__main__":

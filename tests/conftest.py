@@ -75,15 +75,16 @@ def decomposition16(grid16) -> DomainDecomposition:
 
 
 @pytest.fixture(scope="session", params=["numpy", "array_api_strict"])
-def xp_backend(request):
-    """Every array-API substrate, as a resolved :class:`ArrayBackend`.
+def xp(request):
+    """Each conformance namespace of the xp-first kernels.
 
-    Session-scoped so the whole run shares the two cached handles; a
-    test taking this fixture executes once per substrate.  The strict
-    member is ``array-api-strict`` when installed, otherwise the
-    repo's pure-stdlib shim -- either way it rejects silent NumPy
-    round-trips, which is what backend-differential tests rely on.
+    A test taking this fixture runs once with NumPy (what production
+    calls the kernels with) and once with the strict namespace of
+    :mod:`tests.backend.namespaces`, which rejects any silent NumPy
+    round trip of its arrays.
     """
-    from repro.backend import get_backend
+    if request.param == "numpy":
+        return np
+    from tests.backend.namespaces import strict_namespace
 
-    return get_backend(request.param)
+    return strict_namespace()

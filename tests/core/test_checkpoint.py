@@ -8,7 +8,8 @@ from repro.core.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.resilience.atomicio import read_npz
+from repro.resilience.atomicio import read_npz, write_npz
+from repro.tuning import TuningProfile, set_active_profile
 
 from tests.core.test_mesh import make_sim
 
@@ -64,6 +65,49 @@ class TestRoundtrip:
         fresh.rng.random()  # desynchronize on purpose
         load_checkpoint(fresh, ckpt)
         assert fresh.rng.random() == draw_ref
+
+
+class TestParentFormat:
+    def test_checkpoint_with_array_backend_resumes_identically(self, tmp_path):
+        """A checkpoint in the format written while the kernels had an
+        array-API substrate axis: an ``array_backend`` meta key and
+        ``backend`` keys in the embedded tuning profile.  It loads, and
+        the run continues bit for bit."""
+        ref = make_sim(seed=5)
+        ref.excite_carrier(0)
+        ref.run(3)
+
+        work = make_sim(seed=5)
+        work.excite_carrier(0)
+        work.run(1)
+        arrays, meta = work.checkpoint_state()
+        meta["array_backend"] = "numpy"
+        meta["tuning_profile"] = {
+            "source": "defaults+array-backend",
+            "overrides": {
+                "lfd.kin_prop": {"variant": "gemm", "block_size": 32,
+                                 "backend": "numpy"},
+                "lfd.nonlocal": {"variant": "blas", "orb_block": 16,
+                                 "backend": "numpy"},
+                "multigrid.poisson": {"smoother": "rbgs", "pre_sweeps": 2,
+                                      "post_sweeps": 2, "backend": "numpy"},
+            },
+        }
+        ckpt = tmp_path / "parent.npz"
+        write_npz(ckpt, arrays, meta)
+
+        resumed = make_sim(seed=5)
+        try:
+            load_checkpoint(resumed, ckpt)
+            resumed.run(2)
+        finally:
+            set_active_profile(TuningProfile.default())
+        assert np.array_equal(resumed.md_state.positions,
+                              ref.md_state.positions)
+        assert np.array_equal(resumed.md_state.velocities,
+                              ref.md_state.velocities)
+        for a, b in zip(resumed.dc.states, ref.dc.states):
+            assert np.array_equal(a.occupations, b.occupations)
 
 
 class TestValidation:

@@ -121,6 +121,16 @@ class TestCheckpointResume:
         assert np.array_equal(ref.hops, got.hops)
         assert np.array_equal(ref.final_amplitudes, got.final_amplitudes)
 
+    def test_fingerprint_matches_checkpoints_written_before(self):
+        """The fingerprint keeps its ``"array_backend": "numpy"`` entry as
+        a constant: this is the digest the same run had when the engine
+        still took an array-API substrate, so its partial checkpoints
+        resume (bit for bit, as the round trip above shows)."""
+        with self.make_run() as run:
+            assert run._fingerprint() == "130e56ef024e736a"
+            assert run.checkpoint_state()[1]["fingerprint"] == \
+                "130e56ef024e736a"
+
     def test_fingerprint_mismatch_raises_corrupt(self, tmp_path):
         ck = tmp_path / "partial.npz"
         with self.make_run() as run:

@@ -103,6 +103,29 @@ class TestMultigrid:
         assert stats.cycles == 0
         assert np.all(v == 0.0)
 
+    @pytest.mark.parametrize("value", [0.3, -7.0, 1e4])
+    def test_uniform_density_is_a_zero_rhs(self, grid16, rng, value):
+        """A uniform density leaves only rounding noise after the mean
+        subtraction: V = 0 at once, not 50 stalled V-cycles."""
+        from repro.qxmd.hartree import hartree_potential
+
+        rho = np.full(grid16.shape, value)
+        assert np.all(hartree_potential(rho, grid16) == 0.0)
+        guess = rng.standard_normal(grid16.shape)
+        v, stats = PoissonMultigrid(grid16).solve(rho, initial_guess=guess)
+        assert stats.converged
+        assert stats.cycles == 0
+        assert np.all(v == 0.0)
+
+    def test_small_density_over_a_large_mean_still_solves(self, grid16, rng):
+        """Only round-off counts as zero: a 1e-9 ripple on a uniform
+        background is solved like any other density."""
+        ripple = 1e-9 * random_density(grid16, rng)
+        v, stats = PoissonMultigrid(grid16).solve(5.0 + ripple, tol=1e-6)
+        assert stats.converged and stats.cycles > 0
+        ref = solve_poisson_fft(ripple, grid16)
+        assert np.max(np.abs(v - ref)) <= 1e-5 * np.max(np.abs(ref))
+
     def test_initial_guess_speeds_convergence(self, grid32, rng):
         rho = random_density(grid32, rng)
         mg = PoissonMultigrid(grid32)

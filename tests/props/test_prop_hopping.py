@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import get_backend, to_numpy
 from repro.qxmd.sh_kernels import (
     HopPolicy,
     apply_edc_batch_xp,
@@ -30,6 +29,8 @@ from repro.qxmd.sh_kernels import (
     select_hops,
     stay_probabilities_xp,
 )
+
+from tests.backend.namespaces import strict_namespace, to_numpy
 
 
 def random_swarm(seed, ntraj, nstates):
@@ -156,12 +157,10 @@ def test_select_hops_targets_valid(seed, ntraj, nstates):
     assert np.all(~hopped[xi >= total])
 
 
-def _kernel_outputs(backend, c, active, energies, nac, kinetic, dt, cparam):
-    """Every amplitude kernel's output, run in one backend's namespace."""
-    b = get_backend(backend)
-    xp = b.xp
-    cx, ex = b.asarray(c), b.asarray(energies)
-    nacx, actx, kinx = b.asarray(nac), b.asarray(active), b.asarray(kinetic)
+def _kernel_outputs(xp, c, active, energies, nac, kinetic, dt, cparam):
+    """Every amplitude kernel's output, run in namespace ``xp``."""
+    cx, ex = xp.asarray(c), xp.asarray(energies)
+    nacx, actx, kinx = xp.asarray(nac), xp.asarray(active), xp.asarray(kinetic)
     prop = propagate_amplitudes_batch_xp(xp, cx, ex, nacx, dt, 4)
     g = hop_probabilities_batch_xp(xp, prop, actx, nacx, dt)
     out = {
@@ -199,8 +198,8 @@ def test_kernels_match_across_namespaces(kernel, seed, ntraj, nstates, dt,
     nac = 0.5 * (m - m.T).astype(complex)
     kinetic = rng.uniform(1e-3, 1.0, size=ntraj)
     args = (c, active, energies, nac, kinetic, dt, cparam)
-    want = _kernel_outputs("numpy", *args)[kernel]
-    got = _kernel_outputs("array_api_strict", *args)[kernel]
+    want = _kernel_outputs(np, *args)[kernel]
+    got = _kernel_outputs(strict_namespace(), *args)[kernel]
     assert np.array_equal(want, got)
 
 
@@ -211,18 +210,17 @@ def test_kernels_match_across_namespaces(kernel, seed, ntraj, nstates, dt,
     nstates=st.integers(2, 5),
     dt=st.floats(0.01, 1.0),
 )
-def test_partition_of_unity_on_every_backend(xp_backend, seed, ntraj,
+def test_partition_of_unity_on_every_backend(xp, seed, ntraj,
                                              nstates, dt):
-    """Hop + stay probabilities partition unity on any substrate."""
+    """Hop + stay probabilities partition unity in every namespace."""
     c, active, rng = random_swarm(seed, ntraj, nstates)
     m = rng.standard_normal((nstates, nstates)) \
         + 1j * rng.standard_normal((nstates, nstates))
     nac = 0.5 * (m - m.conj().T)
-    b = xp_backend
     g = to_numpy(hop_probabilities_batch_xp(
-        b.xp, b.asarray(c), b.asarray(active), b.asarray(nac), dt
+        xp, xp.asarray(c), xp.asarray(active), xp.asarray(nac), dt
     ))
-    stay = to_numpy(stay_probabilities_xp(b.xp, b.asarray(g)))
+    stay = to_numpy(stay_probabilities_xp(xp, xp.asarray(g)))
     rows = np.arange(ntraj)
     assert np.all(g >= 0.0) and np.all(g <= 1.0)
     assert np.all(g[rows, active] == 0.0)

@@ -113,82 +113,6 @@ def test_cap_norm_decay_is_monotone(seed, strength, width):
     assert np.all(norms[-1] < norms[0])
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    norb=st.integers(1, 3),
-    seed=st.integers(0, 1000),
-    dt=st.floats(0.005, 0.1),
-    order=st.sampled_from((2, 4)),
-)
-def test_unitarity_holds_on_every_backend(xp_backend, norb, seed, dt, order):
-    """Norm conservation is substrate-independent.
-
-    On the strict member this doubles as the no-silent-round-trip gate:
-    the strict namespace raises ``TypeError`` on any ``np.*`` touch of
-    its arrays, so a propagator that survives N steps under it provably
-    never left the declared namespace between the asarray/to_numpy
-    boundaries.
-    """
-    _, wf, vloc = make_state(norb, seed, n=6)
-    norms0 = wf.norms()
-    nsteps = 3
-    prop = QDPropagator(
-        wf, vloc,
-        PropagatorConfig(dt=dt, order=order, backend=xp_backend),
-    )
-    prop.run(nsteps)
-    drift = np.max(np.abs(wf.norms() - norms0))
-    assert drift < 1e-12 * nsteps
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(0, 1000),
-    strength=st.floats(0.1, 3.0),
-)
-def test_cap_decay_monotone_on_every_backend(xp_backend, seed, strength):
-    """The CAP split factor only removes norm on any substrate."""
-    grid, wf, vloc = make_state(2, seed, n=8)
-    cap = cos2_absorber(grid, width_points=1, strength=strength,
-                        backend=xp_backend)
-    prop = QDPropagator(
-        wf, vloc, PropagatorConfig(dt=0.05, backend=xp_backend), cap=cap
-    )
-    norms = [wf.norms().copy()]
-    for _ in range(3):
-        prop.step()
-        norms.append(wf.norms().copy())
-    for before, after in zip(norms, norms[1:]):
-        assert np.all(after <= before + 1e-13)
-    assert np.all(norms[-1] < norms[0])
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    seed=st.integers(0, 1000),
-    dt=st.floats(0.01, 0.1),
-    variant=st.sampled_from(KIN_VARIANTS),
-)
-def test_cross_backend_trajectories_agree(seed, dt, variant):
-    """numpy and strict propagation of the same state agree to 1e-12.
-
-    Every native kin variant is held against the one portable kernel --
-    the variant axis is an execution schedule, never different physics.
-    """
-    _, wf, vloc = make_state(2, seed, n=6)
-    wf_strict = wf.copy()
-    nsteps = 3
-    QDPropagator(
-        wf, vloc, PropagatorConfig(dt=dt, kin_variant=variant,
-                                   backend="numpy")
-    ).run(nsteps)
-    QDPropagator(
-        wf_strict, vloc, PropagatorConfig(dt=dt, kin_variant=variant,
-                                          backend="array_api_strict")
-    ).run(nsteps)
-    assert np.max(np.abs(wf_strict.psi - wf.psi)) <= 1e-12
-
-
 class TestSplittingOrder:
     """Deterministic convergence-order check: Strang vs Suzuki."""
 
@@ -351,28 +275,3 @@ def test_fused_run_without_corrector_is_unitary(seed, a, dt, nsteps, order):
     QDPropagator(wf, vloc, PropagatorConfig(dt=dt, order=order),
                  a_of_t=laser(a)).run(nsteps)
     assert np.abs(wf.overlap_matrix() - s0).max() <= 1e-12 * nsteps
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(0, 1000),
-    dsci=st.floats(-1.0, 1.0),
-    nsteps=st.integers(1, 4),
-    order=st.sampled_from((2, 4)),
-)
-def test_fused_run_on_every_backend(xp_backend, seed, dsci, nsteps, order):
-    """The fused schedule stays inside the declared namespace and agrees
-    with the explicit composition on every substrate."""
-    grid, wf, vloc = make_state(2, seed)
-    ref = WaveFunctionSet.random(grid, 2, np.random.default_rng(seed + 2),
-                                 orthonormal=False)
-    a_of_t = laser((4.0, 2.0, 3.0))
-    want = eq6_reference(wf.copy(), vloc, ref, dsci, 0.05, nsteps,
-                         order=order, a_of_t=a_of_t)
-    QDPropagator(
-        wf, vloc, PropagatorConfig(dt=0.05, order=order, backend=xp_backend),
-        corrector=NonlocalCorrector(ref, dsci, backend=xp_backend),
-        a_of_t=a_of_t,
-    ).run(nsteps)
-    assert np.abs(wf.psi - want.psi).max() <= 1e-12
-    assert np.abs(wf.norms() - 1.0).max() <= 1e-12

@@ -26,7 +26,6 @@ CASES = {
     "DCL009": ("dcl009", "src/repro/qxmd/dftsolver.py", 3),
     "DCL010": ("dcl010", "src/repro/core/fixture.py", 3),
     "DCL011": ("dcl011", "src/repro/parallel/backends/fixture.py", 5),
-    "DCL016": ("dcl016", "src/repro/lfd/fixture.py", 4),
     "DCL017": ("dcl017", "src/repro/serve/fixture.py", 5),
 }
 
@@ -123,11 +122,11 @@ def test_project_scoped_rules_skip_out_of_scope_paths(code, tmp_path):
 
 def test_rule_registry_complete():
     assert rule_codes() == tuple(
-        f"DCL{i:03d}" for i in range(1, 18)
-    )
+        f"DCL{i:03d}" for i in range(1, 16)
+    ) + ("DCL017",)
     assert tuple(r.code for r in ALL_RULES) == tuple(
         f"DCL{i:03d}" for i in range(1, 12)
-    ) + ("DCL016", "DCL017")
+    ) + ("DCL017",)
     for rule in all_rules():
         assert rule.summary
         assert rule.paper_ref

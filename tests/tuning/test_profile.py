@@ -50,6 +50,46 @@ class TestResolution:
         assert q == p
         assert q.params_for("lfd.nonlocal")["variant"] == "naive"
 
+    @pytest.mark.parametrize("name", ["numpy", "array_api_strict", "auto"])
+    def test_legacy_backend_key_dropped(self, name):
+        """Profiles written while the kernel tunables had an array-API
+        substrate axis load, whatever substrate they named."""
+        p = TuningProfile({
+            tid: {"backend": name}
+            for tid in ("lfd.kin_prop", "lfd.nonlocal", "multigrid.poisson")
+        })
+        for tid in ("lfd.kin_prop", "lfd.nonlocal", "multigrid.poisson"):
+            assert p.params_for(tid) == default_params(tid)
+        with pytest.raises(ValueError, match="unknown parameter"):
+            TuningProfile({"lfd.kin_prop": {"backend": name, "warp": 9}})
+
+    def test_loads_profile_file_with_backend_keys(self, tmp_path):
+        """A ``tune --profile-out`` / ``--array-backend`` profile file in
+        the format written before the substrate axis was retired."""
+        path = tmp_path / "tuned.json"
+        path.write_text("""{
+  "overrides": {
+    "lfd.kin_prop": {"backend": "numpy", "block_size": 16,
+                     "variant": "blocked"},
+    "lfd.nonlocal": {"backend": "numpy", "orb_block": 8,
+                     "variant": "blas_blocked"},
+    "multigrid.poisson": {"backend": "numpy", "post_sweeps": 1,
+                          "pre_sweeps": 3, "smoother": "jacobi"},
+    "parallel.executor": {"backend": "thread", "chunk_size": 1,
+                          "workers": 2}
+  },
+  "source": "cache:tune-cache.json+array-backend"
+}
+""")
+        p = TuningProfile.load(path)
+        assert p.params_for("lfd.kin_prop") == {"variant": "blocked",
+                                                "block_size": 16}
+        assert p.params_for("lfd.nonlocal") == {"variant": "blas_blocked",
+                                                "orb_block": 8}
+        assert p.params_for("multigrid.poisson") == {
+            "smoother": "jacobi", "pre_sweeps": 3, "post_sweeps": 1}
+        assert p.params_for("parallel.executor")["backend"] == "thread"
+
     def test_save_load_round_trip(self, tmp_path):
         p = TuningProfile({"parallel.executor": {"backend": "thread",
                                                  "workers": 2}})
